@@ -9,6 +9,7 @@ from .linops import (
     align,
     df,
     df_squared_identity,
+    gram_change,
     lambda_kth_smallest,
     partial_trace,
     polar,
@@ -47,7 +48,6 @@ from .bm import (
     riemannian_gradient,
     second_order_residual,
     solve_bm,
-    tangent_project,
 )
 from .bench import (
     PhaseGrid,

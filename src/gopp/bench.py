@@ -264,6 +264,8 @@ def phase_diagram(
     """One summary row per (n, m, sigma) cell, in deterministic grid order."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [
         (grid, method, p, n, m, sigma)
         for n in grid.n_list

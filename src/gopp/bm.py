@@ -4,6 +4,7 @@ Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction.
 At p = d this is the original orthogonal-block problem; at p = nd it attains
 the convex relaxation's value.  Includes sampled second-order criticality
 residuals and the deterministic landscape bounds for synthetic instances.
+C enters only through ``c @ S`` and its norms, never as a dense nd x nd matrix.
 """
 from __future__ import annotations
 
@@ -16,8 +17,16 @@ import numpy as np
 
 from .certificate import build_lambda
 from .gpm import NumericalError, SolveReport, objective, random_init
-from .linops import RankDeficiencyWarning, StiefelStack, partial_trace, polar_blockwise
+from .linops import (
+    RankDeficiencyWarning,
+    StiefelStack,
+    gram_change,
+    partial_trace,
+    polar_blockwise,
+)
 from .model import GramMatrix, SyntheticInstance
+
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -43,16 +52,11 @@ class BmConfig:
 
 def euclidean_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
     """Gradient of <C, S S^T> in the ambient space: block i is 2 sum_j C_ij S_j."""
-    return 2.0 * (c.data @ s.stacked).reshape(s.n, s.d, s.p)
-
-
-def tangent_project(s_i: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project g onto the tangent space at a Stiefel block: g - sym(g s^T) s."""
-    sym = 0.5 * (g @ s_i.T + s_i @ g.T)
-    return g - sym @ s_i
+    return 2.0 * (c @ s.stacked).reshape(s.n, s.d, s.p)
 
 
 def tangent_project_stack(s: StiefelStack, g: np.ndarray) -> np.ndarray:
+    """Blockwise projection onto the tangent space at S: g_i - sym(g_i S_i^T) S_i."""
     sym = 0.5 * (g @ s.blocks.transpose(0, 2, 1) + s.blocks @ g.transpose(0, 2, 1))
     return g - sym @ s.blocks
 
@@ -64,7 +68,7 @@ def riemannian_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
     normalization so its norm is directly comparable with the stationarity
     residual of the dual certificate.
     """
-    g = (c.data @ s.stacked).reshape(s.n, s.d, s.p)
+    g = (c @ s.stacked).reshape(s.n, s.d, s.p)
     return tangent_project_stack(s, g)
 
 
@@ -96,7 +100,11 @@ def solve_bm(
     """Gradient ascent on St(d,p)^n; stops at small Riemannian gradient.
 
     Backtracking keeps the objective monotone; a non-finite objective raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  Where the objective change drops below its
+    float64 resolution (|f_new - f| <= 8 eps |f|), Armijo cannot see an
+    increase, and a step is accepted on the approximate Armijo condition of
+    Hager and Zhang (SIAM J. Optim., 2005) instead:
+    2 <grad(S_new), grad(S)> >= (2 c_armijo - 1) * slope.
     """
     n, d, p = c.n, c.d, config.p
     if p < d:
@@ -107,8 +115,8 @@ def solve_bm(
         s = init
     else:
         s = random_init(n, d, np.random.default_rng(config.seed), p=p)
-    c_fro = float(np.linalg.norm(c.data))
-    eta = config.eta if config.eta is not None else 1.0 / max(np.linalg.norm(c.data, 2), 1e-300)
+    c_fro = c.fro_norm()
+    eta = config.eta if config.eta is not None else 1.0 / max(c.spectral_norm(), 1e-300)
     start = time.monotonic()
     f = objective(c, s)
     objective_history = [f]
@@ -117,8 +125,8 @@ def solve_bm(
     converged = False
     timed_out = False
     iterations = 0
+    grad = riemannian_gradient(c, s)
     for _ in range(config.max_iter):
-        grad = riemannian_gradient(c, s)
         gnorm = float(np.linalg.norm(grad))
         grad_norm_history.append(gnorm)
         if gnorm <= config.grad_tol * c_fro:
@@ -126,6 +134,7 @@ def solve_bm(
             break
         # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
         slope = 2.0 * gnorm * gnorm
+        grad_new = None  # the gradient at s_new, when the line search computed it
         if config.step == "fixed":
             s_new = retract(s, grad, eta)
             f_new = objective(c, s_new)
@@ -136,18 +145,23 @@ def solve_bm(
                 f_new = objective(c, s_new)
                 if f_new >= f + config.c_armijo * step * slope:
                     break
+                if abs(f_new - f) <= 8.0 * EPS * abs(f):
+                    # f cannot resolve the change: test the slope at s_new instead.
+                    grad_new = riemannian_gradient(c, s_new)
+                    slope_new = 2.0 * float(np.sum(grad_new * grad))
+                    if slope_new >= (2.0 * config.c_armijo - 1.0) * slope:
+                        break
+                    grad_new = None
                 step *= config.beta
                 if step < 1e-20:
-                    s_new, f_new = s, f
+                    s_new, f_new, grad_new = s, f, grad
                     break
             eta = min(step / config.beta, 1e6 * eta)  # try growing next time
         if not math.isfinite(f_new):
             raise NumericalError("objective became non-finite during ascent")
-        gram_res = float(
-            np.linalg.norm(s_new.stacked @ s_new.stacked.T - s.stacked @ s.stacked.T)
-        )
-        residual_history.append(gram_res)
+        residual_history.append(gram_change(s.stacked, s_new.stacked))
         s, f = s_new, f_new
+        grad = grad_new if grad_new is not None else riemannian_gradient(c, s)
         objective_history.append(f)
         iterations += 1
         if config.time_limit_s is not None and time.monotonic() - start > config.time_limit_s:
@@ -203,8 +217,7 @@ def second_order_residual(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grad = riemannian_gradient(c, s)
-    c_fro = float(np.linalg.norm(c.data))
-    if np.linalg.norm(grad) > 1e-6 * c_fro:
+    if np.linalg.norm(grad) > 1e-6 * c.fro_norm():
         raise ValueError("S is not first-order critical; second-order probe undefined")
     raw = build_lambda(c, s)
     lam = 0.5 * (raw + raw.transpose(0, 2, 1))
@@ -223,7 +236,7 @@ def second_order_residual(
             t = t / nrm
             ts = t.reshape(s.n * s.d, s.p)
             lam_term = float(np.einsum("iab,iac,ibc->", lam, t, t))
-            c_term = float(np.sum((c.data @ ts) * ts))
+            c_term = float(np.sum((c @ ts) * ts))
             val = lam_term - c_term
         if val < sampled_min:
             sampled_min = val
@@ -291,7 +304,8 @@ def landscape_bounds(instance: SyntheticInstance, p: int) -> LandscapeReport:
     za = z @ a
     delta_tilde = delta @ a.T @ z.T + za @ delta.T + delta @ delta.T
     pi_inv = np.linalg.inv(pi)
-    delta_tilde_pi = np.kron(np.eye(n), pi_inv) @ delta_tilde
+    # blockdiag(Pi^-1, ..., Pi^-1) @ Delta_tilde, one block row at a time.
+    delta_tilde_pi = (pi_inv @ delta_tilde.reshape(n, d, n * d)).reshape(n * d, n * d)
     delta_pi_norm = float(np.linalg.norm(delta_tilde_pi, 2))
     ptr = partial_trace(delta_tilde, pi_inv)
     partial_trace_norm = float(np.linalg.norm(ptr, 2))

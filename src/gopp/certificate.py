@@ -62,7 +62,7 @@ def build_lambda(c: GramMatrix, s: StiefelStack) -> np.ndarray:
         raise ValueError(
             f"stack (n={s.n}, d={s.d}) does not match Gram matrix (n={c.n}, d={c.d})"
         )
-    cs = (c.data @ s.stacked).reshape(s.n, s.d, s.p)
+    cs = (c @ s.stacked).reshape(s.n, s.d, s.p)
     return cs @ s.blocks.transpose(0, 2, 1)
 
 
@@ -77,13 +77,14 @@ def certify(
     asymmetry = float(np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2))))
     blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
     n, d = c.n, c.d
-    gap = np.array(c.data)
-    for i in range(n):
-        gap[i * d : (i + 1) * d, i * d : (i + 1) * d] -= blocks[i]
-    gap = -gap  # Lambda - C
-    residual_mat = gap @ s.stacked
+    # (Lambda - C) S, blockwise Lambda_ii S_i minus C S.
+    residual_mat = (blocks @ s.blocks).reshape(n * d, s.p) - c @ s.stacked
     residual = float(np.linalg.norm(residual_mat, 2))
     residual_fro = float(np.linalg.norm(residual_mat))
+    # The eigenvalue check is the one place that needs the dense nd x nd C.
+    gap = -c.data  # Lambda - C
+    for i in range(n):
+        gap[i * d : (i + 1) * d, i * d : (i + 1) * d] += blocks[i]
     lam_d1 = lambda_kth_smallest(gap, d + 1)
     lam_min = lambda_kth_smallest(gap, 1)
     min_block_eig = float(min(np.linalg.eigvalsh(b)[0] for b in blocks))

@@ -26,6 +26,7 @@ from .certificate import certify
 from .gpm import GpmConfig, NumericalError, solve
 from .linops import StiefelStack
 from .model import (
+    LineReader,
     build_data_matrix,
     build_gram,
     read_cloud_set,
@@ -55,11 +56,11 @@ def write_stack(path, stack: StiefelStack) -> None:
 
 
 def read_stack(path) -> StiefelStack:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    n, d, p = (int(v) for v in lines[0].split())
-    rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + n * d]]
-    return StiefelStack(np.array(rows).reshape(n, d, p))
+    lines = LineReader(path)
+    lineno, (n, d, p) = lines.header("n d p")
+    rows = [lines.row(p, "a stack row")[1] for _ in range(n * d)]
+    lines.finish()
+    return lines.build(lineno, StiefelStack, np.array(rows).reshape(n, d, p))
 
 
 def _load_config_defaults(path) -> dict:

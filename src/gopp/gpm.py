@@ -1,15 +1,17 @@
 """Generalized power method: spectral start, fixed-point iteration, rate fit.
 
-The iteration is S <- blockwise-polar(C S).  Stopping uses the Gram-image
-residual ||S_next S_next^T - S S^T||_F <= tol; the reported solution is
-gauge-fixed so its first block is the identity.
+The iteration is S <- blockwise-polar(C S), with C applied through its factor
+(``c @ S``).  Stopping uses the Gram-image residual
+||S_next S_next^T - S S^T||_F <= tol, evaluated from p x p products
+(:func:`gram_change`); the reported solution is gauge-fixed so its first
+block is the identity.
 """
 from __future__ import annotations
 
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .linops import (
     RotationStack,
     StiefelStack,
     df,
+    gram_change,
     polar,
     polar_blockwise,
     top_d_left_singular,
@@ -95,21 +98,15 @@ class SolveReport:
         return doc
 
 
-@dataclass(frozen=True)
-class EpsilonDiagnostic:
+def epsilon_hat(s: StiefelStack, z: StiefelStack) -> float:
     """Normalized distance to a known ground truth: d_F(S, Z) / sqrt(nd)."""
-
-    epsilon_hat: float
-
-
-def epsilon_hat(s: StiefelStack, z: StiefelStack) -> EpsilonDiagnostic:
-    return EpsilonDiagnostic(epsilon_hat=df(s, z) / math.sqrt(s.n * s.d))
+    return df(s, z) / math.sqrt(s.n * s.d)
 
 
 def objective(c: GramMatrix, s: StiefelStack) -> float:
     """<C, S S^T> = Tr(S^T C S)."""
     ss = s.stacked
-    return float(np.sum((c.data @ ss) * ss))
+    return float(np.sum((c @ ss) * ss))
 
 
 def spectral_init(d_mat: np.ndarray, n: int) -> RotationStack:
@@ -130,7 +127,7 @@ def random_init(n: int, d: int, rng: np.random.Generator, p: int | None = None) 
 
 def gpm_step(c: GramMatrix, s: StiefelStack) -> StiefelStack:
     """One power step: blockwise polar of the block product C S."""
-    cs = c.data @ s.stacked
+    cs = c @ s.stacked
     if not np.all(np.isfinite(cs)):
         raise NumericalError("non-finite block product C S")
     return polar_blockwise(cs.reshape(s.n, s.d, s.p))
@@ -168,7 +165,6 @@ def solve(
     residual_history: list[float] = []
     objective_history = [objective(c, s)]
     iterates = [s] if config.keep_iterates else None
-    gram_prev = s.stacked @ s.stacked.T
     converged = False
     timed_out = False
     iterations = 0
@@ -176,15 +172,14 @@ def solve(
         with warnings.catch_warnings():
             if not config.diagnostics:
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
-            s = gpm_step(c, s)
+            s_next = gpm_step(c, s)
         iterations += 1
-        gram = s.stacked @ s.stacked.T
-        residual = float(np.linalg.norm(gram - gram_prev))
+        residual = gram_change(s.stacked, s_next.stacked)
+        s = s_next
         residual_history.append(residual)
         objective_history.append(objective(c, s))
         if iterates is not None:
             iterates.append(s)
-        gram_prev = gram
         if residual <= config.tol:
             converged = True
             break

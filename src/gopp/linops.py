@@ -3,11 +3,13 @@
 A "stack" is n matrices of size d x p (p >= d) stored as a (n, d, p) array.
 Stacked vertically they form an nd x p matrix, the basic variable of the
 synchronization objective.  This module provides the polar projection onto
-the orthogonal group / Stiefel manifold, the alignment distance d_F, partial
-traces, extreme eigenvalues, and truncated SVDs used everywhere else.
+the orthogonal group / Stiefel manifold, the alignment distance d_F, the
+Gram-change residual ||S'S'^T - SS^T||_F from p x p products, partial traces,
+extreme eigenvalues, and truncated SVDs used everywhere else.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -122,8 +124,9 @@ def polar(x: np.ndarray) -> np.ndarray:
 
     Returns U V^T from the thin SVD; the unique maximizer of <R, x> over the
     manifold whenever sigma_min(x) > 0.  Near-rank-deficient inputs trigger a
-    :class:`RankDeficiencyWarning` but still return the SVD-based choice with
-    a deterministic sign convention.
+    :class:`RankDeficiencyWarning` but still return the SVD-based choice.
+    (Flipping a singular pair u_k, v_k together leaves U V^T unchanged, so no
+    sign convention is needed here.)
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -134,7 +137,6 @@ def polar(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("polar input must be finite")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    _apply_sign_convention(u, vt)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         warnings.warn(
             f"polar factor is non-unique (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})",
@@ -152,8 +154,6 @@ def polar_blockwise(stack) -> StiefelStack:
     if not np.all(np.isfinite(blocks)):
         raise ValueError("polar_blockwise input must be finite")
     u, s, vt = np.linalg.svd(blocks, full_matrices=False)
-    for i in range(blocks.shape[0]):
-        _apply_sign_convention(u[i], vt[i])
     bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, -1] <= RANK_TOL * s[:, 0]))
     for i in bad:
         warnings.warn(
@@ -196,6 +196,27 @@ def df_squared_identity(x: StiefelStack, y: StiefelStack) -> tuple[float, float]
     direct = align(x, y).distance ** 2
     nuclear = float(np.sum(np.linalg.svd(x.stacked.T @ y.stacked, compute_uv=False)))
     return direct, 2.0 * x.n * x.d - 2.0 * nuclear
+
+
+def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
+    """||S' S'^T - S S^T||_F for two nd x p matrices, from p x p products only.
+
+    With Delta = S' - S the difference is S Delta^T + Delta S'^T, whose squared
+    norm is <S^T S, Delta^T Delta> + <S'^T S', Delta^T Delta>
+    + 2 tr((Delta^T S')(Delta^T S)).  The terms are of order ||Delta||^2, so
+    the result is accurate to roundoff relative to the residual while Delta
+    is on the residual's scale, as between successive solver iterates.  A
+    global rotation S' = S Q leaves the Gram matrix unchanged with a large
+    Delta; align S' to S first when such moves are possible.
+    """
+    delta = s_new - s
+    dd = delta.T @ delta
+    sq = (
+        np.sum((s.T @ s) * dd)
+        + np.sum((s_new.T @ s_new) * dd)
+        + 2.0 * np.trace((delta.T @ s_new) @ (delta.T @ s))
+    )
+    return math.sqrt(max(float(sq), 0.0))
 
 
 def partial_trace(m: np.ndarray, w: np.ndarray) -> np.ndarray:

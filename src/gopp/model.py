@@ -3,7 +3,8 @@
 n noisy copies of a latent d x m cloud A are observed as
 A_i = O_i (A - mu_i 1^T) + sigma W_i.  After centering, recovering the O_i
 reduces to maximizing <C, S S^T> over stacks of orthogonal blocks, where
-C_ij = A_i A_j^T is the blockwise cross covariance.
+C_ij = A_i A_j^T is the blockwise cross covariance.  C = D D^T is never
+formed: :class:`GramMatrix` keeps the nd x m factor D and applies C through it.
 """
 from __future__ import annotations
 
@@ -108,23 +109,48 @@ class SyntheticInstance:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The nd x nd block matrix C with C_ij the cross covariance of clouds i, j."""
+    """The nd x nd block matrix C = D D^T, kept as its nd x m factor D.
 
-    data: np.ndarray
+    Block C_ij = D_i D_j^T is the cross covariance of clouds i and j.  This
+    class is the only code that knows C = D D^T: callers apply C with
+    ``c @ x`` and read its norms, which cost O(nd m p) and O(nd m^2).
+    """
+
+    factor: np.ndarray
     n: int
     d: int
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
+        factor = np.ascontiguousarray(np.asarray(self.factor, dtype=float))
         nd = self.n * self.d
-        if data.shape != (nd, nd):
-            raise ValueError(f"expected shape ({nd}, {nd}), got {data.shape}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        if factor.ndim != 2 or factor.shape[0] != nd:
+            raise ValueError(f"expected shape ({nd}, m), got {factor.shape}")
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """C x = D (D^T x) for an nd x p matrix x."""
+        return self.factor @ (self.factor.T @ x)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense nd x nd matrix C, rebuilt on every access.
+
+        O((nd)^2) memory: for test oracles and the certificate's eigenvalue check.
+        """
+        return self.factor @ self.factor.T
 
     def block(self, i: int, j: int) -> np.ndarray:
         d = self.d
-        return self.data[i * d : (i + 1) * d, j * d : (j + 1) * d]
+        return self.factor[i * d : (i + 1) * d] @ self.factor[j * d : (j + 1) * d].T
+
+    def fro_norm(self) -> float:
+        """||C||_F = ||D^T D||_F."""
+        return float(np.linalg.norm(self.factor.T @ self.factor))
+
+    def spectral_norm(self) -> float:
+        """||C||_2 = sigma_max(D)^2."""
+        return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
 
 
 def center(cloud: PointCloud) -> PointCloud:
@@ -160,7 +186,7 @@ def build_data_matrix(clouds: PointCloudSet) -> np.ndarray:
 
 
 def build_gram(clouds: PointCloudSet, center_first: bool = True) -> GramMatrix:
-    """C = D D^T with D the (optionally centered) stacked data matrix.
+    """C = D D^T with D the (optionally centered) stacked data matrix, kept as D.
 
     Centering realizes the cross covariance of centered clouds and is the
     right choice for registration inputs with unknown shifts; pre-centered
@@ -170,10 +196,7 @@ def build_gram(clouds: PointCloudSet, center_first: bool = True) -> GramMatrix:
         mats = [center(c).points for c in clouds.clouds]
     else:
         mats = [c.points for c in clouds.clouds]
-    d_mat = np.vstack(mats)
-    data = d_mat @ d_mat.T
-    data = 0.5 * (data + data.T)
-    return GramMatrix(data=data, n=clouds.n, d=clouds.d)
+    return GramMatrix(factor=np.vstack(mats), n=clouds.n, d=clouds.d)
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +218,65 @@ def write_cloud(path, cloud: PointCloud) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_cloud(lines: list[str], pos: int) -> tuple[PointCloud, int]:
-    header = lines[pos].split()
-    if len(header) != 2:
-        raise ValueError(f"line {pos + 1}: expected 'd m' header, got {lines[pos]!r}")
-    d, m = int(header[0]), int(header[1])
-    rows = []
-    for r in range(d):
-        vals = lines[pos + 1 + r].split()
-        if len(vals) != m:
-            raise ValueError(
-                f"line {pos + 2 + r}: expected {m} values, got {len(vals)}"
-            )
-        rows.append([float(v) for v in vals])
-    return PointCloud(np.array(rows)), pos + 1 + d
+class LineReader:
+    """The non-blank lines of a text file, consumed in order.
+
+    Every parse error is a ValueError that names the file and the 1-based line.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path) as fh:
+            self._lines = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
+        self._pos = 0
+
+    def error(self, lineno: int, message: str) -> ValueError:
+        return ValueError(f"{self.path}: line {lineno}: {message}")
+
+    def row(self, count: int, what: str, kind=float) -> tuple[int, list]:
+        """The next line as exactly `count` values: (line number, values)."""
+        if self._pos == len(self._lines):
+            lineno = self._lines[-1][0] + 1 if self._lines else 1
+            raise self.error(lineno, f"expected {what}, got end of file")
+        lineno, fields = self._lines[self._pos]
+        self._pos += 1
+        if len(fields) != count:
+            raise self.error(lineno, f"expected {what} with {count} fields, got {len(fields)}")
+        try:
+            return lineno, [kind(v) for v in fields]
+        except ValueError as exc:
+            raise self.error(lineno, f"cannot parse {what}: {exc}") from None
+
+    def header(self, names: str) -> tuple[int, list[int]]:
+        """The next line as one positive integer per name in `names`."""
+        lineno, counts = self.row(len(names.split()), f"'{names}' header", int)
+        if min(counts) < 1:
+            raise self.error(lineno, f"'{names}' header needs positive counts, got {counts}")
+        return lineno, counts
+
+    def build(self, lineno: int, make, *args):
+        """make(*args), with a ValueError it raises reported at `lineno`."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(lineno, str(exc)) from None
+
+    def finish(self) -> None:
+        """Reject anything left after the last declared record."""
+        if self._pos < len(self._lines):
+            raise self.error(self._lines[self._pos][0], "unexpected data after the last record")
+
+
+def _read_cloud_record(lines: LineReader) -> PointCloud:
+    lineno, (d, m) = lines.header("d m")
+    rows = [lines.row(m, "a cloud row")[1] for _ in range(d)]
+    return lines.build(lineno, PointCloud, np.array(rows))
 
 
 def read_cloud(path) -> PointCloud:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    cloud, _ = _parse_cloud(lines, 0)
+    lines = LineReader(path)
+    cloud = _read_cloud_record(lines)
+    lines.finish()
     return cloud
 
 
@@ -228,12 +290,8 @@ def write_cloud_set(path, clouds: PointCloudSet) -> None:
 
 
 def read_cloud_set(path) -> PointCloudSet:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    n = int(lines[0])
-    clouds = []
-    pos = 1
-    for _ in range(n):
-        cloud, pos = _parse_cloud(lines, pos)
-        clouds.append(cloud)
-    return PointCloudSet(tuple(clouds))
+    lines = LineReader(path)
+    lineno, (n,) = lines.header("n")
+    clouds = tuple(_read_cloud_record(lines) for _ in range(n))
+    lines.finish()
+    return lines.build(lineno, PointCloudSet, clouds)

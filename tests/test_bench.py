@@ -190,6 +190,11 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match="method"):
             phase_diagram(self.small_grid((0.1,)), method="other")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            phase_diagram(self.small_grid((0.1,)), workers=workers)
+
     def test_parallel_matches_serial(self):
         grid = self.small_grid((0.1, 0.6), trials=3)
         serial = phase_diagram(grid, method="gpm_random", workers=1)

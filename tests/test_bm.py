@@ -11,7 +11,6 @@ from gopp.bm import (
     riemannian_gradient,
     second_order_residual,
     solve_bm,
-    tangent_project,
     tangent_project_stack,
 )
 from gopp.certificate import certify
@@ -29,12 +28,12 @@ def small_instance(n=8, d=2, m=6, sigma=0.2, seed=0):
 
 class TestGradients:
     def test_zero_gram_zero_gradient(self, rng):
-        gram = GramMatrix(data=np.zeros((6, 6)), n=3, d=2)
+        gram = GramMatrix(factor=np.zeros((6, 3)), n=3, d=2)
         s = random_stack(rng, 3, 2)
         assert np.all(euclidean_gradient(gram, s) == 0.0)
 
     def test_identity_gram_single_block(self, rng):
-        gram = GramMatrix(data=np.eye(2), n=1, d=2)
+        gram = GramMatrix(factor=np.eye(2), n=1, d=2)
         s = random_stack(rng, 1, 2, 3)
         assert np.allclose(euclidean_gradient(gram, s), 2.0 * s.blocks, atol=1e-12)
 
@@ -76,24 +75,24 @@ class TestGradients:
 class TestTangentProject:
     def test_tangent_vector_unchanged(self, rng):
         s = random_stack(rng, 1, 2, 4)
-        t = random_tangent(rng, s)[0]
-        assert np.allclose(tangent_project(s.blocks[0], t), t, atol=1e-12)
+        t = random_tangent(rng, s)
+        assert np.allclose(tangent_project_stack(s, t), t, atol=1e-12)
 
     def test_normal_direction_killed(self, rng):
         s = random_stack(rng, 1, 2, 4)
-        assert np.max(np.abs(tangent_project(s.blocks[0], s.blocks[0]))) <= 1e-12
+        assert np.max(np.abs(tangent_project_stack(s, s.blocks))) <= 1e-12
 
     def test_idempotent(self, rng):
         s = random_stack(rng, 1, 3, 4)
-        g = rng.standard_normal((3, 4))
-        once = tangent_project(s.blocks[0], g)
-        twice = tangent_project(s.blocks[0], once)
+        g = rng.standard_normal((1, 3, 4))
+        once = tangent_project_stack(s, g)
+        twice = tangent_project_stack(s, once)
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_output_in_tangent_space(self, rng):
         s = random_stack(rng, 1, 2, 5)
-        g = rng.standard_normal((2, 5))
-        t = tangent_project(s.blocks[0], g)
+        g = rng.standard_normal((1, 2, 5))
+        t = tangent_project_stack(s, g)[0]
         skew = t @ s.blocks[0].T + s.blocks[0] @ t.T
         assert np.linalg.norm(skew) <= 1e-10 * max(np.linalg.norm(t), 1e-300)
 
@@ -164,6 +163,17 @@ class TestSolveBm:
         ss = report.solution.stacked @ report.solution.stacked.T
         assert np.linalg.norm(ss - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
 
+    def test_converges_at_float64_resolution(self):
+        # On the criterion-8 instance f is near 2e5, so Armijo alone cannot
+        # see an increase below ulp(f) ~ 3e-11 and an ascent could stall with
+        # ||grad|| a few times grad_tol * ||C||_F until max_iter.
+        inst = generate_instance("uniform_cube", 100, 25, 3, 0.3, seed=8)
+        gram = build_gram(inst.observed, center_first=False)
+        stalled = [
+            seed for seed in range(30) if not solve_bm(gram, BmConfig(p=7, seed=seed)).converged
+        ]
+        assert stalled == []
+
     def test_p_below_d_rejected(self):
         _, gram = small_instance()
         with pytest.raises(ValueError, match="at least"):
@@ -209,7 +219,7 @@ class TestSecondOrder:
     def test_sign_saddle_detected(self):
         # (+, -, +) on the all-ones Gram is first-order critical but not a
         # maximizer; the multiplier blocks betray it.
-        gram = GramMatrix(data=np.ones((3, 3)), n=3, d=1)
+        gram = GramMatrix(factor=np.ones((3, 1)), n=3, d=1)
         s = StiefelStack(np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1))
         result = second_order_residual(gram, s, trials=10, seed=0)
         assert result.residual < 0.0

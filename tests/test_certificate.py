@@ -36,14 +36,14 @@ class TestBuildLambda:
 
     def test_single_block_equals_gram(self, rng):
         a = rng.standard_normal((2, 5))
-        gram = GramMatrix(data=a @ a.T, n=1, d=2)
+        gram = GramMatrix(factor=a, n=1, d=2)
         s = random_stack(rng, 1, 2)
         lam = build_lambda(gram, s)
         assert np.allclose(lam[0], gram.data @ s.blocks[0] @ s.blocks[0].T, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         a = rng.standard_normal((2, 5))
-        gram = GramMatrix(data=a @ a.T, n=1, d=2)
+        gram = GramMatrix(factor=a, n=1, d=2)
         with pytest.raises(ValueError, match="does not match"):
             build_lambda(gram, random_stack(rng, 2, 2))
 

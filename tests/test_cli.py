@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
 from gopp.linops import StiefelStack
@@ -82,6 +86,14 @@ class TestSolve:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE
 
+    def test_truncated_input_names_file_and_line(self, cloud_set_file, capsys):
+        lines = cloud_set_file.read_text().splitlines(keepends=True)
+        cloud_set_file.write_text("".join(lines[:-1]))
+        assert run_cli(["solve", str(cloud_set_file)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cloud_set_file}: line {len(lines)}: expected a cloud row" in err
+        assert "Traceback" not in err
+
 
 class TestCertify:
     def test_identity_stack_on_noisy_data(self, cloud_set_file, tmp_path):
@@ -133,6 +145,17 @@ class TestPhase:
         )
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.0",
+             "--trials", "1", "--workers", workers, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -181,3 +204,27 @@ class TestStackFile:
         back = read_stack(path)
         assert np.array_equal(back.blocks, s.blocks)
         assert (back.n, back.d, back.p) == (3, 2, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        d=st.integers(min_value=1, max_value=3),
+        p_extra=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_strict_prefix_and_extra_record_rejected(self, n, d, p_extra, seed):
+        s = random_stack(np.random.default_rng(seed), n, d, d + p_extra)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/stack.txt"
+            write_stack(path, s)
+            with open(path) as fh:
+                lines = fh.readlines()
+            for k in range(len(lines)):
+                with open(path, "w") as fh:
+                    fh.writelines(lines[:k])
+                with pytest.raises(ValueError, match=rf"{re.escape(path)}: line \d+: "):
+                    read_stack(path)
+            with open(path, "w") as fh:
+                fh.writelines(lines + lines[-1:])  # one row past the declared n*d
+            with pytest.raises(ValueError, match=f"line {len(lines) + 1}: unexpected data"):
+                read_stack(path)

@@ -12,6 +12,7 @@ from gopp.linops import (
     align,
     df,
     df_squared_identity,
+    gram_change,
     lambda_kth_smallest,
     partial_trace,
     polar,
@@ -300,6 +301,32 @@ def test_df_triangle_inequality(n, d, p_extra, seed):
     y = random_stack(rng, n, d, p)
     z = random_stack(rng, n, d, p)
     assert df(x, z) <= df(x, y) + df(y, z) + 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    d=st.integers(min_value=1, max_value=3),
+    p_extra=st.integers(min_value=0, max_value=3),
+    log_step=st.floats(min_value=-8.5, max_value=0.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gram_change_matches_dense_oracle(n, d, p_extra, log_step, seed):
+    # The dense ||T T^T - S S^T||_F is formed in extended precision: in
+    # float64 its own roundoff reaches ~1e-10 of a 1e-6 residual.  n >= 2:
+    # with one block every T has the same Gram matrix, so T - S is a pure
+    # global rotation, which gram_change does not claim to resolve.
+    rng = np.random.default_rng(seed)
+    s = random_stack(rng, n, d, d + p_extra)
+    t = polar_blockwise(s.blocks + 10.0**log_step * rng.standard_normal(s.blocks.shape))
+    sl, tl = (x.stacked.astype(np.longdouble) for x in (s, t))
+    dense = float(np.sqrt(np.sum((tl @ tl.T - sl @ sl.T) ** 2)))
+    got = gram_change(s.stacked, t.stacked)
+    if dense >= 1e-6:
+        assert abs(got - dense) <= 1e-10 * dense
+    else:
+        assert abs(got - dense) <= 1e-12
+    assert gram_change(s.stacked, s.stacked) == 0.0
 
 
 @settings(max_examples=100, deadline=None)

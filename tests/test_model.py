@@ -1,4 +1,7 @@
 """Unit tests for the observation model, shift estimation, and Gram matrix."""
+import re
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,31 @@ class TestTypes:
 
     def test_gram_shape_check(self):
         with pytest.raises(ValueError, match="expected shape"):
-            GramMatrix(data=np.zeros((4, 4)), n=3, d=2)
+            GramMatrix(factor=np.zeros((4, 4)), n=3, d=2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    d=st.integers(min_value=1, max_value=3),
+    p_extra=st.integers(min_value=0, max_value=3),
+    m_extra=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gram_fast_paths_match_dense_oracle(n, d, p_extra, m_extra, seed):
+    # c @ X, block(i, j) and both norms against the dense C = c.data.
+    rng = np.random.default_rng(seed)
+    gram = GramMatrix(factor=rng.standard_normal((n * d, d + m_extra)), n=n, d=d)
+    dense = gram.data
+    scale = np.linalg.norm(dense)
+    x = rng.standard_normal((n * d, d + p_extra))
+    assert np.max(np.abs(gram @ x - dense @ x)) <= 1e-12 * scale * np.linalg.norm(x)
+    for i in range(n):
+        for j in range(n):
+            blk = dense[i * d : (i + 1) * d, j * d : (j + 1) * d]
+            assert np.max(np.abs(gram.block(i, j) - blk)) <= 1e-12 * scale
+    assert gram.fro_norm() == pytest.approx(scale, rel=1e-12)
+    assert gram.spectral_norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
 
 class TestCenter:
@@ -238,6 +265,55 @@ class TestFileFormat:
         path.write_text("2 4\n1.0 2.0 3.0\n")
         with pytest.raises((ValueError, IndexError)):
             read_cloud(path)
+
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n\n2 3\n1 2 3\n4 5 x\n")
+        expected = f"{re.escape(str(path))}: line 5: cannot parse a cloud row"
+        with pytest.raises(ValueError, match=expected):
+            read_cloud_set(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=4),
+        d=st.integers(min_value=1, max_value=3),
+        m_extra=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_strict_prefix_rejected(self, n, d, m_extra, seed):
+        clouds = make_cloud_set(np.random.default_rng(seed), n, d, d + m_extra)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/set.txt"
+            write_cloud_set(path, clouds)
+            with open(path) as fh:
+                lines = fh.readlines()
+            for k in range(len(lines)):
+                with open(path, "w") as fh:
+                    fh.writelines(lines[:k])
+                with pytest.raises(ValueError, match=rf"{re.escape(path)}: line \d+: "):
+                    read_cloud_set(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=4),
+        d=st.integers(min_value=1, max_value=3),
+        m_extra=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_extra_record_rejected(self, n, d, m_extra, seed):
+        rng = np.random.default_rng(seed)
+        clouds = make_cloud_set(rng, n + 1, d, d + m_extra)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/set.txt"
+            write_cloud_set(path, clouds)
+            with open(path) as fh:
+                lines = fh.readlines()
+            lines[0] = f"{n}\n"  # declare one record fewer than the file holds
+            with open(path, "w") as fh:
+                fh.writelines(lines)
+            first_extra = 2 + n * (d + 1)
+            with pytest.raises(ValueError, match=f"line {first_extra}: unexpected data"):
+                read_cloud_set(path)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
