@@ -163,10 +163,7 @@ def run_trial(
     method: str = "gpm_random",
     p: int | None = None,
     seed: int | None = None,
-    max_iter: int = 1000,
     time_limit_s: float | None = 60.0,
-    stat_tol: float = 1e-6,
-    psd_tol: float = 0.0,
 ) -> TrialResult:
     """Solve one instance and certify the outcome.
 
@@ -187,12 +184,10 @@ def run_trial(
             init = "spectral" if method == "gpm_spectral" else "random"
             # The 1e-6 stopping tolerance is part of the measured protocol:
             # a tighter stop shifts the empirical phase transition upward.
-            cfg = GpmConfig(
-                init=init, seed=seed, max_iter=max_iter, time_limit_s=time_limit_s
-            )
+            cfg = GpmConfig(init=init, seed=seed, time_limit_s=time_limit_s)
             d_init = build_data_matrix(instance.observed) if init == "spectral" else None
             report = solve(gram, cfg, d_for_init=d_init)
-        cert = certify(gram, report.solution, stat_tol=stat_tol, psd_tol=psd_tol)
+        cert = certify(gram, report.solution)
         report.certificate = cert
         converged = report.converged
         certified = converged and cert.certified

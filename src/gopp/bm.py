@@ -17,35 +17,25 @@ import numpy as np
 
 from .certificate import build_lambda
 from .gpm import NumericalError, SolveReport, objective, random_init
-from .linops import (
-    RankDeficiencyWarning,
-    StiefelStack,
-    gram_change,
-    partial_trace,
-    polar_blockwise,
-)
+from .linops import RankDeficiencyWarning, StiefelStack, partial_trace, polar_blockwise
 from .model import GramMatrix, SyntheticInstance
 
 EPS = float(np.finfo(float).eps)
+ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
+BACKTRACK = 0.5  # step shrink factor of the line search
 
 
 @dataclass(frozen=True)
 class BmConfig:
     p: int  # columns per block, >= d (the benign-landscape regime is p >= 2d+1)
-    step: str = "backtracking"  # or "fixed"
-    eta: float | None = None  # initial (or fixed) step; default 1/||C||
-    beta: float = 0.5  # backtracking shrink factor
-    c_armijo: float = 1e-4  # sufficient-increase constant
     grad_tol: float = 1e-8  # stop when ||grad|| <= grad_tol * ||C||_F
     max_iter: int = 5000
     seed: int = 0
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        if self.step not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.step!r}")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -99,12 +89,15 @@ def solve_bm(
 ) -> SolveReport:
     """Gradient ascent on St(d,p)^n; stops at small Riemannian gradient.
 
-    Backtracking keeps the objective monotone; a non-finite objective raises
-    :class:`NumericalError`.  Where the objective change drops below its
-    float64 resolution (|f_new - f| <= 8 eps |f|), Armijo cannot see an
-    increase, and a step is accepted on the approximate Armijo condition of
-    Hager and Zhang (SIAM J. Optim., 2005) instead:
-    2 <grad(S_new), grad(S)> >= (2 c_armijo - 1) * slope.
+    The step starts at 1/||C||_2 and backtracks by BACKTRACK until the Armijo
+    test with ARMIJO_C holds, which keeps the objective monotone; a
+    non-finite objective raises :class:`NumericalError`.  Where the
+    objective change drops below its float64 resolution
+    (|f_new - f| <= 8 eps |f|), Armijo cannot see an increase, and a step is
+    accepted on the approximate Armijo condition of Hager and Zhang (SIAM J.
+    Optim., 2005) instead: 2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.
+    The report's residual_history holds ||grad|| at every iterate, the start
+    included, and converged says whether the last one is within tolerance.
     """
     n, d, p = c.n, c.d, config.p
     if p < d:
@@ -115,59 +108,52 @@ def solve_bm(
         s = init
     else:
         s = random_init(n, d, np.random.default_rng(config.seed), p=p)
-    c_fro = c.fro_norm()
-    eta = config.eta if config.eta is not None else 1.0 / max(c.spectral_norm(), 1e-300)
+    tol = config.grad_tol * c.fro_norm()
+    eta = 1.0 / max(c.spectral_norm(), 1e-300)
     start = time.monotonic()
     f = objective(c, s)
     objective_history = [f]
-    grad_norm_history: list[float] = []
-    residual_history: list[float] = []
-    converged = False
+    grad = riemannian_gradient(c, s)
+    residual_history = [float(np.linalg.norm(grad))]
+    converged = residual_history[-1] <= tol
     timed_out = False
     iterations = 0
-    grad = riemannian_gradient(c, s)
-    for _ in range(config.max_iter):
-        gnorm = float(np.linalg.norm(grad))
-        grad_norm_history.append(gnorm)
-        if gnorm <= config.grad_tol * c_fro:
-            converged = True
-            break
+    while not (converged or timed_out) and iterations < config.max_iter:
         # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
+        gnorm = residual_history[-1]
         slope = 2.0 * gnorm * gnorm
         grad_new = None  # the gradient at s_new, when the line search computed it
-        if config.step == "fixed":
-            s_new = retract(s, grad, eta)
+        step = eta
+        while True:
+            s_new = retract(s, grad, step)
             f_new = objective(c, s_new)
-        else:
-            step = eta
-            while True:
-                s_new = retract(s, grad, step)
-                f_new = objective(c, s_new)
-                if f_new >= f + config.c_armijo * step * slope:
+            if f_new >= f + ARMIJO_C * step * slope:
+                break
+            if abs(f_new - f) <= 8.0 * EPS * abs(f):
+                # f cannot resolve the change: test the slope at s_new instead.
+                grad_new = riemannian_gradient(c, s_new)
+                slope_new = 2.0 * float(np.sum(grad_new * grad))
+                if slope_new >= (2.0 * ARMIJO_C - 1.0) * slope:
                     break
-                if abs(f_new - f) <= 8.0 * EPS * abs(f):
-                    # f cannot resolve the change: test the slope at s_new instead.
-                    grad_new = riemannian_gradient(c, s_new)
-                    slope_new = 2.0 * float(np.sum(grad_new * grad))
-                    if slope_new >= (2.0 * config.c_armijo - 1.0) * slope:
-                        break
-                    grad_new = None
-                step *= config.beta
-                if step < 1e-20:
-                    s_new, f_new, grad_new = s, f, grad
-                    break
-            eta = min(step / config.beta, 1e6 * eta)  # try growing next time
+                grad_new = None
+            step *= BACKTRACK
+            if step < 1e-20:
+                s_new, f_new, grad_new = s, f, grad
+                break
+        eta = min(step / BACKTRACK, 1e6 * eta)  # try growing next time
         if not math.isfinite(f_new):
             raise NumericalError("objective became non-finite during ascent")
-        residual_history.append(gram_change(s.stacked, s_new.stacked))
         s, f = s_new, f_new
         grad = grad_new if grad_new is not None else riemannian_gradient(c, s)
+        residual_history.append(float(np.linalg.norm(grad)))
         objective_history.append(f)
         iterations += 1
-        if config.time_limit_s is not None and time.monotonic() - start > config.time_limit_s:
-            timed_out = True
-            break
-    svals = np.linalg.svd(s.stacked, compute_uv=False)
+        converged = residual_history[-1] <= tol
+        timed_out = (
+            not converged
+            and config.time_limit_s is not None
+            and time.monotonic() - start > config.time_limit_s
+        )
     return SolveReport(
         solution=s,
         iterations=iterations,
@@ -175,9 +161,6 @@ def solve_bm(
         objective_history=objective_history,
         converged=converged,
         timed_out=timed_out,
-        p=p,
-        grad_norm_history=grad_norm_history,
-        singular_values_of_s=[float(v) for v in svals],
     )
 
 

@@ -64,7 +64,11 @@ def read_stack(path) -> StiefelStack:
 
 
 def _load_config_defaults(path) -> dict:
-    """key=value lines, '#' comments; values stay strings for argparse to coerce."""
+    """key=value lines, '#' comments; values stay strings for argparse to coerce.
+
+    argparse runs an option's `type` on a string default, so a bad value
+    fails like the same bad flag, naming the option.
+    """
     defaults = {}
     with open(path) as fh:
         for raw in fh:
@@ -85,6 +89,7 @@ def _add_common(parser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="gopp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     g = sub.add_parser("generate", parents=[], help="emit a synthetic cloud-set file")
     g.add_argument("--model", choices=("uniform_cube", "standard_normal"), default="uniform_cube")
@@ -236,38 +241,24 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # A config file supplies defaults; explicit flags override them.
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
+        # A config file supplies defaults; explicit flags override them.
         try:
             defaults = _load_config_defaults(args.config)
         except (OSError, ValueError) as exc:
             print(f"gopp: bad config file: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        sub = build_parser()
-        for action in sub._subparsers._group_actions:
-            child = action.choices.get(args.command)
-            if child is None:
-                continue
-            actions = {a.dest: a for a in child._actions}
-            coerced = {}
-            for key, value in defaults.items():
-                act = actions.get(key)
-                if act is None:
-                    continue
-                # argparse does not run `type` on defaults; do it here.
-                try:
-                    if act.type is not None:
-                        value = act.type(value)
-                    elif isinstance(act.default, bool) or act.const is True:
-                        value = value.lower() in ("1", "true", "yes", "on")
-                except ValueError as exc:
-                    print(f"gopp: bad config value for {key}: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-                coerced[key] = value
-            child.set_defaults(**coerced)
-        args = sub.parse_args(argv)
+        child = parser.commands[args.command]
+        known = {}
+        for key, value in defaults.items():
+            if key == "command" or not hasattr(args, key):
+                continue  # not an option of this subcommand
+            if isinstance(child.get_default(key), bool):
+                value = value.lower() in ("1", "true", "yes", "on")
+            known[key] = value
+        child.set_defaults(**known)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -27,7 +27,7 @@ from .linops import (
 )
 from .model import GramMatrix
 
-INIT_MODES = ("spectral", "ground_truth", "provided", "random")
+INIT_MODES = ("spectral", "ground_truth", "random")
 
 
 class NumericalError(RuntimeError):
@@ -41,11 +41,10 @@ class GpmConfig:
     init: str = "spectral"
     seed: int = 0
     keep_iterates: bool = False
-    diagnostics: bool = False
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -55,21 +54,26 @@ class GpmConfig:
 
 @dataclass
 class SolveReport:
-    """Iteration trace and candidate solution (shared by the Stiefel solver)."""
+    """Iteration trace and candidate solution; one shape for both solvers.
+
+    residual_history holds the quantity the solver's stop rule compares with
+    its tolerance: the Gram change ||S' S'^T - S S^T||_F of each power step
+    for :func:`solve`, the Riemannian gradient norm at each iterate for
+    :func:`gopp.bm.solve_bm`.
+    """
 
     solution: StiefelStack
     iterations: int
     residual_history: list[float]
     objective_history: list[float]
     converged: bool
-    rate_estimate: float | None = None
     iterates: list[StiefelStack] | None = None
     certificate: object = None
     timed_out: bool = False
-    # Stiefel-solver extras
-    p: int | None = None
-    grad_norm_history: list[float] | None = None
-    singular_values_of_s: list[float] | None = None
+
+    @property
+    def singular_values_of_s(self) -> list[float]:
+        return [float(v) for v in np.linalg.svd(self.solution.stacked, compute_uv=False)]
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -79,20 +83,15 @@ class SolveReport:
             "iterations": self.iterations,
             "residual_history": [float(r) for r in self.residual_history],
             "objective_history": [float(o) for o in self.objective_history],
-            "rate_estimate": self.rate_estimate,
             "solution": {
                 "n": self.solution.n,
                 "d": self.solution.d,
                 "p": self.solution.p,
                 "blocks_row_major": [b.flatten().tolist() for b in self.solution.blocks],
             },
+            "p": self.solution.p,
+            "singular_values_of_S": self.singular_values_of_s,
         }
-        if self.p is not None:
-            doc["p"] = self.p
-        if self.grad_norm_history is not None:
-            doc["grad_norm_history"] = [float(g) for g in self.grad_norm_history]
-        if self.singular_values_of_s is not None:
-            doc["singular_values_of_S"] = [float(s) for s in self.singular_values_of_s]
         if self.certificate is not None:
             doc["certificate"] = self.certificate.to_json_dict()
         return doc
@@ -157,7 +156,7 @@ def solve(
         s = spectral_init(d_for_init, n)
     elif config.init == "random":
         s = random_init(n, d, np.random.default_rng(config.seed))
-    elif config.init in ("ground_truth", "provided"):
+    elif config.init == "ground_truth":
         if s_init is None:
             raise ValueError(f"init={config.init!r} needs an explicit starting stack")
         s = s_init
@@ -170,8 +169,7 @@ def solve(
     iterations = 0
     for _ in range(config.max_iter):
         with warnings.catch_warnings():
-            if not config.diagnostics:
-                warnings.simplefilter("ignore", RankDeficiencyWarning)
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
             s_next = gpm_step(c, s)
         iterations += 1
         residual = gram_change(s.stacked, s_next.stacked)

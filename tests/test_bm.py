@@ -174,6 +174,23 @@ class TestSolveBm:
         ]
         assert stalled == []
 
+    @pytest.mark.parametrize("grad_tol", [0.0, -1e-8, float("nan")])
+    def test_nonpositive_grad_tol_rejected(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol must be positive"):
+            BmConfig(p=5, grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iter", [5000, 3])
+    def test_residual_history_is_gradient_norm_at_each_iterate(self, max_iter):
+        _, gram = small_instance(sigma=0.3)
+        config = BmConfig(p=5, seed=1, max_iter=max_iter)
+        report = solve_bm(gram, config)
+        assert report.converged is (max_iter == 5000)
+        assert len(report.residual_history) == report.iterations + 1
+        tol = config.grad_tol * gram.fro_norm()
+        assert report.converged == (report.residual_history[-1] <= tol)
+        gnorm = np.linalg.norm(riemannian_gradient(gram, report.solution))
+        assert report.residual_history[-1] == pytest.approx(gnorm, rel=1e-12)
+
     def test_p_below_d_rejected(self):
         _, gram = small_instance()
         with pytest.raises(ValueError, match="at least"):

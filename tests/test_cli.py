@@ -131,6 +131,20 @@ class TestBm:
         assert len(doc["singular_values_of_S"]) == 5
 
 
+    @pytest.mark.parametrize("grad_tol", ["0", "-0.5"])
+    def test_nonpositive_grad_tol_rejected(self, cloud_set_file, capsys, grad_tol):
+        assert run_cli(["bm", str(cloud_set_file), "--grad-tol", grad_tol]) == EXIT_USAGE
+        assert "grad_tol must be positive" in capsys.readouterr().err
+
+    def test_report_keys_match_solve(self, cloud_set_file, tmp_path):
+        docs = []
+        for cmd, extra in (("solve", []), ("bm", ["--p", "5"])):
+            out = tmp_path / f"{cmd}.json"
+            assert run_cli([cmd, str(cloud_set_file), *extra, "--out", str(out)]) == EXIT_OK
+            docs.append(json.loads(out.read_text()))
+        assert docs[0].keys() == docs[1].keys()
+        assert not {"rate_estimate", "grad_norm_history"} & docs[0].keys()
+
 class TestPhase:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "phase.csv"
@@ -189,6 +203,26 @@ class TestConfigFile:
         )
         assert code == EXIT_OK
         assert json.loads(out.read_text())["converged"] is True
+
+    def test_boolean_from_config_matches_flag(self, cloud_set_file, tmp_path):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("center=false\n")
+        docs = {}
+        for name, extra in (("config", ["--config", str(cfg)]), ("flag", ["--no-center"]),
+                            ("default", [])):
+            out = tmp_path / f"{name}.json"
+            assert run_cli(["solve", str(cloud_set_file), *extra, "--out", str(out)]) == EXIT_OK
+            docs[name] = json.loads(out.read_text())
+        assert docs["config"] == docs["flag"]
+        assert docs["config"] != docs["default"]
+
+    def test_bad_config_value_names_option(self, cloud_set_file, tmp_path, capsys):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("max_iter=abc\n")
+        assert run_cli(["solve", str(cloud_set_file), "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--max-iter" in err
+        assert "Traceback" not in err
 
     def test_bad_config_line(self, cloud_set_file, tmp_path):
         cfg = tmp_path / "solve.cfg"

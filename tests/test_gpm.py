@@ -42,6 +42,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="init"):
             GpmConfig(init="warm")
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            GpmConfig(tol=float("nan"))
+
 
 class TestSpectralInit:
     def test_noiseless_recovers_truth(self):
