@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificate import build_lambda
 from .gpm import NumericalError, SolveReport, objective, random_init
-from .linops import RankDeficiencyWarning, StiefelStack, partial_trace, polar_blockwise
+from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from .model import GramMatrix, SyntheticInstance
 
 EPS = float(np.finfo(float).eps)
@@ -282,16 +282,20 @@ def landscape_bounds(instance: SyntheticInstance, p: int) -> LandscapeReport:
         ]
     )
     delta_blocks = derotated - a  # includes shift terms if the instance has any
-    delta = delta_blocks.reshape(n * d, instance.m)
-    z = np.tile(np.eye(d), (n, 1))
-    za = z @ a
-    delta_tilde = delta @ a.T @ z.T + za @ delta.T + delta @ delta.T
+    # Delta_tilde = Delta A^T Z^T + Z A Delta^T + Delta Delta^T = U G U^T with
+    # U = [Delta, Z] (nd x (m + d)) and Z = 1 (x) I_d, so both norms come from
+    # thin QR factors and no nd x nd or n x n matrix is formed.
+    u_blocks = np.concatenate([delta_blocks, np.broadcast_to(np.eye(d), (n, d, d))], axis=2)
+    g = np.block([[np.eye(instance.m), a.T], [a, np.zeros((d, d))]])
     pi_inv = np.linalg.inv(pi)
-    # blockdiag(Pi^-1, ..., Pi^-1) @ Delta_tilde, one block row at a time.
-    delta_tilde_pi = (pi_inv @ delta_tilde.reshape(n, d, n * d)).reshape(n * d, n * d)
-    delta_pi_norm = float(np.linalg.norm(delta_tilde_pi, 2))
-    ptr = partial_trace(delta_tilde, pi_inv)
-    partial_trace_norm = float(np.linalg.norm(ptr, 2))
+    # ||blockdiag(Pi^-1) U G U^T||_2 = ||R_PU G R_U^T||_2.
+    r_pu = np.linalg.qr((pi_inv @ u_blocks).reshape(n * d, -1), mode="r")
+    r_u = np.linalg.qr(u_blocks.reshape(n * d, -1), mode="r")
+    delta_pi_norm = float(np.linalg.norm(r_pu @ g @ r_u.T, 2))
+    # Tr(Pi^-1 Delta_tilde_ij) = <Pi^-1 U_i G, U_j>_F: a product of two n x d(m + d) factors.
+    r_left = np.linalg.qr((pi_inv @ u_blocks @ g).reshape(n, -1), mode="r")
+    r_right = np.linalg.qr(u_blocks.reshape(n, -1), mode="r")
+    partial_trace_norm = float(np.linalg.norm(r_left @ r_right.T, 2))
     bound_rhs = n * (p - 2 * d) / (8.0 * kappa * (p + d) * math.sqrt(d))
     block_noise_bound = float(svals[-1]) / (12.0 * kappa)
     max_block_noise = float(max(np.linalg.norm(delta_blocks[i], 2) for i in range(n)))

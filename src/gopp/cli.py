@@ -41,6 +41,15 @@ EXIT_TIMEOUT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.options = {}  # dest -> the Action add_argument returned
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -64,22 +73,39 @@ def read_stack(path) -> StiefelStack:
 
 
 def _load_config_defaults(path) -> dict:
-    """key=value lines, '#' comments; values stay strings for argparse to coerce.
-
-    argparse runs an option's `type` on a string default, so a bad value
-    fails like the same bad flag, naming the option.
-    """
+    """key=value lines, '#' comments: {key: (line number, value string)}."""
     defaults = {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()!r}")
+                raise ValueError(f"{path}: line {lineno}: expected key=value, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = value.strip()
+            defaults[key.strip().replace("-", "_")] = (lineno, value.strip())
     return defaults
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action: argparse.Action, value: str):
+    """A config-file string checked and converted as the option would be."""
+    if isinstance(action.default, bool):
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid {action.type.__name__} value: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def _add_common(parser):
@@ -251,12 +277,17 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         child = parser.commands[args.command]
         known = {}
-        for key, value in defaults.items():
+        for key, (lineno, value) in defaults.items():
             if key == "command" or not hasattr(args, key):
                 continue  # not an option of this subcommand
-            if isinstance(child.get_default(key), bool):
-                value = value.lower() in ("1", "true", "yes", "on")
-            known[key] = value
+            action = child.options[key]
+            try:
+                known[key] = _config_value(action, value)
+            except ValueError as exc:
+                name = action.option_strings[0] if action.option_strings else key
+                print(f"gopp: bad config file: {args.config}: line {lineno}: {name}: {exc}",
+                      file=sys.stderr)
+                return EXIT_USAGE
         child.set_defaults(**known)
         args = parser.parse_args(argv)
     try:

@@ -5,7 +5,8 @@ Stacked vertically they form an nd x p matrix, the basic variable of the
 synchronization objective.  This module provides the polar projection onto
 the orthogonal group / Stiefel manifold, the alignment distance d_F, the
 Gram-change residual ||S'S'^T - SS^T||_F from p x p products, partial traces,
-extreme eigenvalues, and truncated SVDs used everywhere else.
+the eigenvalues of block-diagonal minus low-rank matrices, and truncated SVDs
+used everywhere else.
 """
 from __future__ import annotations
 
@@ -237,22 +238,143 @@ def partial_trace(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ab,ibja->ij", w, m4)
 
 
-def lambda_kth_smallest(m: np.ndarray, k: int) -> float:
-    """k-th smallest eigenvalue of a symmetric matrix (1-based k).
+def lambda_kth_smallest(blocks: np.ndarray, factor: np.ndarray, k: int) -> float:
+    """k-th smallest eigenvalue (1-based k) of blockdiag(blocks) - factor factor^T.
 
-    The input must be symmetric to 1e-10 (relative); it is explicitly
-    symmetrized before the dense eigensolve.
+    blocks is (n, d, d), each symmetric to 1e-10 (relative) and symmetrized
+    here; factor is nd x m.  The nd x nd matrix is never formed.  With
+    blocks = U diag(mu) U^T and E = U^T factor, Haynsworth inertia additivity
+    counts the eigenvalues below a shift t from the m x m Schur complement:
+    #{eig < t} = #{mu < t} + #neg(I_m - E^T diag(1/(mu - t)) E).  Bisection on
+    this count, with safeguarded Newton steps on the Schur complement's
+    eigenvalue, narrows a bracket of the eigenvalue to 4 eps (max|mu| +
+    ||factor||_2^2), the accuracy of a dense eigensolve.  Each shift costs
+    O(nd m^2 + m^3), after one O(n d^3) batched eigh of the blocks.
+    Coinciding block eigenvalues are merged first, and those next to a
+    shift are not inverted (see _merge_poles and _schur_count), so repeated
+    block eigenvalues and shifts on them keep that accuracy.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    nrm = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > 1e-10 * max(1.0, nrm):
-        raise ValueError("matrix is not symmetric within tolerance")
-    if not 1 <= k <= m.shape[0]:
-        raise ValueError(f"k={k} out of range for N={m.shape[0]}")
-    vals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(vals[k - 1])
+    blocks = np.asarray(blocks, dtype=float)
+    factor = np.asarray(factor, dtype=float)
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError(f"expected (n, d, d) blocks, got shape {blocks.shape}")
+    n, d, _ = blocks.shape
+    if factor.ndim != 2 or factor.shape[0] != n * d:
+        raise ValueError(f"expected a factor of shape ({n * d}, m), got {factor.shape}")
+    asym = np.linalg.norm(blocks - blocks.transpose(0, 2, 1), axis=(1, 2))
+    if np.any(asym > 1e-10 * np.maximum(1.0, np.linalg.norm(blocks, axis=(1, 2)))):
+        raise ValueError("blocks are not symmetric within tolerance")
+    if not 1 <= k <= n * d:
+        raise ValueError(f"k={k} out of range for N={n * d}")
+    mu, u = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+    m = factor.shape[1]
+    ranked = np.sort(mu, axis=None)
+    if m == 0:
+        return float(ranked[k - 1])
+    e = (u.transpose(0, 2, 1) @ factor.reshape(n, d, m)).reshape(n * d, m)
+    sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||factor||_2^2
+    scale = float(np.max(np.abs(mu))) + sigma2
+    tol = 4.0 * np.finfo(float).eps * scale
+    # Weyl and rank-m interlacing: mu_(k) - sigma2 <= lambda_k <= mu_(k), and
+    # lambda_k >= mu_(k-m) when k > m.
+    hi = float(ranked[k - 1])
+    lo = hi - sigma2 if k <= m else max(hi - sigma2, float(ranked[k - m - 1]))
+    poles = _merge_poles(mu.ravel(), e, tol)
+    t = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    while hi - lo > tol:
+        count, newton = _schur_count(*poles, t, k)
+        if count >= k:
+            hi = t
+        else:
+            lo = t
+        # A Newton step is taken while it stays in the bracket and at least
+        # halves the step before last; otherwise bisect.  The next shift stays
+        # tol inside the bracket, so a converged Newton step closes it.
+        in_bracket = newton is not None and lo - tol <= newton <= hi + tol
+        if in_bracket and abs(newton - t) <= 0.5 * abs(step_old):
+            nxt = newton
+        else:
+            nxt = 0.5 * (lo + hi)
+        nxt = min(max(nxt, lo + tol), hi - tol) if hi - lo > 2.0 * tol else 0.5 * (lo + hi)
+        step_old, step = step, nxt - t
+        t = nxt
+    return float(0.5 * (lo + hi))
+
+
+def _merge_poles(mu: np.ndarray, e: np.ndarray, width: float):
+    """diag(mu) - E E^T with block eigenvalues closer than `width` merged.
+
+    A run of such eigenvalues is set to its mean (a change below `width`),
+    and its rows of E are rotated onto their R factor, of at most m rows.
+    Rows of E that are zero, the rotated-away ones included, leave exact
+    eigenvalues.  Returns (mu, E, squared row norms of E, exact eigenvalues).
+    """
+    order = np.argsort(mu)
+    mu, e = mu[order], e[order]  # copies
+    starts = np.flatnonzero(np.diff(mu, prepend=-np.inf) > width)
+    ends = np.append(starts[1:], len(mu))
+    runs = ends - starts > 1
+    for a, b in zip(starts[runs], ends[runs]):
+        r = np.linalg.qr(e[a:b], mode="r")
+        mu[a:b] = np.mean(mu[a:b])
+        e[a:b] = 0.0
+        e[a : a + len(r)] = r
+    norms = np.einsum("ij,ij->i", e, e)
+    live = norms > 0.0
+    return mu[live], e[live], norms[live], mu[~live]
+
+
+# A block eigenvalue whose Schur term ||e_i||^2 / |mu_i - t| exceeds this is
+# kept out of the Schur complement: eliminating it would add an eps-relative
+# error of that size to the complement's other eigenvalues.
+_MAX_GROWTH = 1e6
+
+
+def _schur_count(mu, e, norms, exact, t: float, k: int):
+    """(#{eig < t}, Newton estimate of lambda_k) for diag(mu) - E E^T plus `exact`.
+
+    norms[i] = ||e_i||^2.  Block eigenvalues with norms[i] > _MAX_GROWTH
+    |mu_i - t| (at most 2m, the largest terms first), a shift equal to one
+    included, are not inverted: they stay in the bordered matrix
+    [[diag(delta_N / norms_N), E_N / sqrt(norms_N)], [., S_F]], whose inertia
+    adds to that of diag(delta_F); S_F is the Schur complement of the rest.
+    """
+    m = e.shape[1]
+    delta = mu - t
+    near = np.flatnonzero(norms > _MAX_GROWTH * np.abs(delta))
+    if len(near) > 2 * m:
+        near = near[np.argsort(np.abs(delta[near]) / norms[near])[: 2 * m]]
+    q = len(near)
+    far_e, far_delta = e, delta
+    if q:
+        far = np.ones(len(mu), dtype=bool)
+        far[near] = False
+        far_e, far_delta = e[far], delta[far]
+    w = far_e / far_delta[:, None]
+    schur = np.eye(m) - far_e.T @ w
+    if q:
+        # Congruences: 1/||e_i|| on the kept rows, then a diagonal
+        # equilibration of the whole matrix.  Neither changes the inertia.
+        en = e[near] / np.sqrt(norms[near])[:, None]
+        bordered = np.block([[np.diag(delta[near] / norms[near]), en], [en.T, schur]])
+        rowmax = np.max(np.abs(bordered), axis=1)
+        scaling = 1.0 / np.sqrt(np.where(rowmax > 0.0, rowmax, 1.0))
+        vals, vecs = np.linalg.eigh(scaling[:, None] * bordered * scaling)
+        vecs *= scaling[:, None]
+    else:
+        vals, vecs = np.linalg.eigh(schur)
+    below = int(np.count_nonzero(exact < t)) + int(np.count_nonzero(far_delta < 0))
+    count = below + int(np.count_nonzero(vals < 0))
+    # lambda_k is where the j-th eigenvalue of the bordered matrix, decreasing
+    # in t with slope -(sum_N v_i^2 / norms_i + ||diag(1/delta_F) E_F v_S||^2),
+    # crosses zero (while no other block eigenvalue lies between).
+    j = k - below
+    if not 1 <= j <= len(vals):
+        return count, None
+    v = vecs[:, j - 1]
+    slope = float(np.sum(v[:q] ** 2 / norms[near]) + np.sum((w @ v[q:]) ** 2))
+    return count, (t + vals[j - 1] / slope if slope > 0 else None)
 
 
 def top_d_left_singular(d_mat: np.ndarray, d: int) -> np.ndarray:

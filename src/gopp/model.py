@@ -136,7 +136,8 @@ class GramMatrix:
     def data(self) -> np.ndarray:
         """The dense nd x nd matrix C, rebuilt on every access.
 
-        O((nd)^2) memory: for test oracles and the certificate's eigenvalue check.
+        O((nd)^2) memory.  It exists for test oracles only: nothing in the
+        package reads it.
         """
         return self.factor @ self.factor.T
 

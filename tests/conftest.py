@@ -15,6 +15,15 @@ def random_stack(rng, n, d, p=None):
     return polar_blockwise(rng.standard_normal((n, d, p)))
 
 
+def dense_gap(blocks, factor):
+    """The dense oracle blockdiag(blocks) - factor factor^T."""
+    n, d, _ = blocks.shape
+    mat = -factor @ factor.T
+    for i in range(n):
+        mat[i * d : (i + 1) * d, i * d : (i + 1) * d] += blocks[i]
+    return mat
+
+
 def random_tangent(rng, stack):
     """Random tangent stack at `stack` (blockwise sym-part removal)."""
     t = rng.standard_normal((stack.n, stack.d, stack.p))

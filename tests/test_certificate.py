@@ -3,14 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gopp.bench import generate_instance
 from gopp.certificate import Verdict, build_lambda, certify, snr_check
 from gopp.gpm import GpmConfig, objective, solve
-from gopp.linops import StiefelStack
+from gopp.linops import StiefelStack, lambda_kth_smallest
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import random_stack
+from conftest import dense_gap, random_stack
 
 
 def sign_enumeration_max(c_data):
@@ -21,6 +23,26 @@ def sign_enumeration_max(c_data):
         s = np.array(signs)
         best = max(best, float(s @ c_data @ s))
     return best
+
+
+def dense_certify(gram, s):
+    """Reference certify at the default tolerances on the dense nd x nd C.
+
+    Returns the verdict, the symmetrized blocks, the spectrum and the residual.
+    """
+    n, d = gram.n, gram.d
+    raw = (gram.data @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
+    blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
+    gap = dense_gap(blocks, gram.factor)
+    eigs = np.linalg.eigvalsh(gap)
+    residual = np.linalg.norm(gap @ s.stacked, 2)
+    if residual >= 1e-6:
+        verdict = Verdict.NOT_STATIONARY
+    elif eigs[d] > 0.0 and eigs[0] >= -1e-6:
+        verdict = Verdict.CERTIFIED_UNIQUE_GLOBAL
+    else:
+        verdict = Verdict.STATIONARY_NOT_CERTIFIED
+    return verdict, blocks, eigs, residual
 
 
 class TestBuildLambda:
@@ -150,3 +172,47 @@ class TestSnrCheck:
         )
         with pytest.raises(ValueError, match="rank deficient"):
             snr_check(degenerate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    d=st.sampled_from([1, 2, 3]),
+    wide=st.booleans(),
+    extra_m=st.integers(min_value=1, max_value=6),
+    sigma=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]),
+    model=st.sampled_from(["uniform_cube", "standard_normal"]),
+    center=st.booleans(),
+    solved=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factored_eigenvalues_match_dense(n, d, wide, extra_m, sigma, model, center, solved, seed):
+    # Every eigenvalue of Lambda - C from the factor agrees with the dense
+    # spectrum, on random stacks (blocks need not be PD) and on solved ones,
+    # and certify's verdict is the dense reference's.
+    rng = np.random.default_rng(seed)
+    p = d + 2 if wide else d
+    inst = generate_instance(model, n, d + extra_m, d, sigma, seed=seed)
+    gram = build_gram(inst.observed, center_first=center)
+    if solved:
+        report = solve(
+            gram, GpmConfig(init="spectral"), d_for_init=build_data_matrix(inst.observed)
+        )
+        padded = np.zeros((n, d, p))
+        padded[:, :, :d] = report.solution.blocks
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        s = StiefelStack(padded @ q)  # still a critical point, same Lambda
+    else:
+        s = random_stack(rng, n, d, p)
+    verdict, blocks, eigs, residual = dense_certify(gram, s)
+    scale = np.max(np.abs(np.linalg.eigvalsh(blocks))) + gram.spectral_norm()
+    for k in range(1, n * d + 1):
+        assert abs(lambda_kth_smallest(blocks, gram.factor, k) - eigs[k - 1]) <= 1e-11 * scale
+    cert = certify(gram, s)
+    # A verdict is decided only up to the accuracy of what it compares.
+    undecided = (
+        min(abs(eigs[d]), abs(eigs[0] + 1e-6)) <= 1e-11 * scale
+        or abs(residual - 1e-6) <= 1e-9 * scale
+    )
+    if not undecided:
+        assert cert.verdict is verdict

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gopp.bench import generate_instance, run_trial
 from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
 from gopp.linops import StiefelStack
+from gopp.model import GramMatrix
 
 from conftest import random_stack
 
@@ -224,6 +226,27 @@ class TestConfigFile:
         assert "--max-iter" in err
         assert "Traceback" not in err
 
+    def test_bad_config_boolean_names_file_line_and_key(self, cloud_set_file, tmp_path, capsys):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("# typo below\ncenter=ture\n")
+        out = tmp_path / "report.json"
+        code = run_cli(["solve", str(cloud_set_file), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 2: --center" in err
+        assert "Traceback" not in err
+
+    def test_config_value_outside_choices_names_option_and_file(
+        self, cloud_set_file, tmp_path, capsys
+    ):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("seed=3\ninit=warm\n")
+        assert run_cli(["solve", str(cloud_set_file), "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 2: --init" in err
+        assert "Traceback" not in err
+
     def test_bad_config_line(self, cloud_set_file, tmp_path):
         cfg = tmp_path / "solve.cfg"
         cfg.write_text("this is not key value\n")
@@ -262,3 +285,25 @@ class TestStackFile:
                 fh.writelines(lines + lines[-1:])  # one row past the declared n*d
             with pytest.raises(ValueError, match=f"line {len(lines) + 1}: unexpected data"):
                 read_stack(path)
+
+
+def test_no_dense_gram_outside_test_oracles(cloud_set_file, tmp_path, monkeypatch):
+    # The dense nd x nd C exists for test oracles only: every command and a
+    # phase trial of each method must run without it.
+    def dense(self):
+        raise AssertionError("the dense nd x nd Gram matrix was built")
+
+    monkeypatch.setattr(GramMatrix, "data", property(dense))
+    stack = tmp_path / "stack.txt"
+    write_stack(stack, StiefelStack.identity(6, 2))
+    for args in (
+        ["solve", str(cloud_set_file)],
+        ["certify", str(cloud_set_file), str(stack)],
+        ["bm", str(cloud_set_file), "--max-iter", "50"],
+    ):
+        out = tmp_path / f"{args[0]}.json"
+        assert run_cli([*args, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())
+    inst = generate_instance("uniform_cube", 8, 10, 2, 0.2, seed=1)
+    for method in ("gpm_random", "gpm_spectral", "bm"):
+        assert run_trial(inst, method=method).iterations > 0

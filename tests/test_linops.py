@@ -20,7 +20,7 @@ from gopp.linops import (
     top_d_left_singular,
 )
 
-from conftest import random_orthogonal, random_stack
+from conftest import dense_gap, random_orthogonal, random_stack
 
 
 class TestStiefelStack:
@@ -191,34 +191,93 @@ class TestPartialTrace:
 
 class TestLambdaKthSmallest:
     def test_diagonal(self):
-        assert lambda_kth_smallest(np.diag([1.0, 2.0, 3.0]), 2) == 2.0
+        blocks = np.array([[[1.0]], [[2.0]], [[3.0]]])
+        assert lambda_kth_smallest(blocks, np.zeros((3, 0)), 2) == 2.0
 
     def test_laplacian_kron_identity(self):
         # Eigenvalues of (n I - J) x I_d enumerate as d zeros then n's.
         n, d = 5, 3
-        mat = np.kron(n * np.eye(n) - np.ones((n, n)), np.eye(d))
+        blocks = np.broadcast_to(n * np.eye(d), (n, d, d))
+        factor = np.kron(np.ones((n, 1)), np.eye(d))
         enumerated = sorted(
             lam * mu
             for lam in np.linalg.eigvalsh(n * np.eye(n) - np.ones((n, n)))
             for mu in np.ones(d)
         )
         assert abs(enumerated[d] - n) <= 1e-10
-        assert abs(lambda_kth_smallest(mat, d + 1) - n) <= 1e-10
+        assert abs(lambda_kth_smallest(blocks, factor, d + 1) - n) <= 1e-10
 
     def test_matches_full_spectrum(self, rng):
         a = rng.standard_normal((6, 6))
-        m = 0.5 * (a + a.T)
-        full = np.sort(np.linalg.eigvalsh(m))
+        blocks = 0.5 * (a + a.T)[None]
+        factor = rng.standard_normal((6, 2))
+        full = np.sort(np.linalg.eigvalsh(dense_gap(blocks, factor)))
         for k in range(1, 7):
-            assert abs(lambda_kth_smallest(m, k) - full[k - 1]) <= 1e-12
+            assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-12
 
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(ValueError, match="symmetric"):
-            lambda_kth_smallest(rng.standard_normal((4, 4)), 1)
+            lambda_kth_smallest(rng.standard_normal((1, 4, 4)), np.zeros((4, 1)), 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            lambda_kth_smallest(np.eye(2), 3)
+            lambda_kth_smallest(np.eye(2)[None], np.zeros((2, 1)), 3)
+
+    def test_shift_on_a_block_eigenvalue(self):
+        # Block eigenvalues 1, 2, 3 and ||F||_2^2 = 2: for k = 3 the bracket is
+        # [1, 3], so the first shift is the block eigenvalue 2, where the Schur
+        # complement does not exist; the eigenvalue 1 of the matrix is itself
+        # a block eigenvalue.  No division by zero may happen.
+        blocks = np.array([[[1.0]], [[2.0]], [[3.0]]])
+        factor = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        expected = [1.0 - np.sqrt(2.0), 1.0, 1.0 + np.sqrt(2.0)]
+        assert np.allclose(np.linalg.eigvalsh(dense_gap(blocks, factor)), expected, atol=1e-14)
+        with np.errstate(divide="raise", invalid="raise"):
+            for k in range(1, 4):
+                assert abs(lambda_kth_smallest(blocks, factor, k) - expected[k - 1]) <= 1e-12
+
+
+    def test_shift_next_to_a_block_eigenvalue(self):
+        # The first shift for k = 4 is the block eigenvalue 1, whose factor
+        # row is not zero.  A count taken an ulp away from it would invert a
+        # 1e16 term and lose the other Schur eigenvalues to roundoff.
+        blocks = np.array([0.0, 1.0, 0.0, 2.0]).reshape(4, 1, 1)
+        factor = np.array([[0.0, 0.0, 0.0], [-1.0, 0.1, 1.0], [0.0, 0.0, 0.0], [0.4, 0.0, 0.5]])
+        full = np.linalg.eigvalsh(dense_gap(blocks, factor))
+        for k in range(1, 5):
+            assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        d=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=5),
+        kind=st.sampled_from(["integer", "repeated", "scaled", "zero_rows"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_structured_inputs_match_dense(self, n, d, m, kind, seed):
+        # Repeated block eigenvalues, shifts that hit them exactly, blocks and
+        # factors on scales 1e12 apart, and factor rows that are zero.
+        rng = np.random.default_rng(seed)
+        if kind == "integer":
+            a = rng.integers(-3, 4, size=(n, d, d)).astype(float)
+            factor = rng.integers(-2, 3, size=(n * d, m)).astype(float)
+        elif kind == "repeated":
+            a = np.broadcast_to(rng.standard_normal((d, d)), (n, d, d))
+            factor = np.kron(np.ones((n, 1)), rng.standard_normal((d, m)))
+        elif kind == "scaled":
+            a = rng.standard_normal((n, d, d)) * 10.0 ** rng.integers(-6, 7)
+            factor = rng.standard_normal((n * d, m)) * 10.0 ** rng.integers(-6, 7)
+        else:
+            a = np.zeros((n, d, d))
+            a[:, range(d), range(d)] = rng.integers(0, 3, size=(n, d))
+            factor = rng.standard_normal((n * d, m)) * (rng.random((n * d, 1)) < 0.5)
+        blocks = a + a.transpose(0, 2, 1)
+        full = np.linalg.eigvalsh(dense_gap(blocks, factor))
+        scale = np.max(np.abs(np.linalg.eigvalsh(blocks))) + np.linalg.norm(factor, 2) ** 2
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for k in range(1, n * d + 1):
+                assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-11 * scale
 
 
 class TestTopDLeftSingular:
