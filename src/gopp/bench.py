@@ -133,16 +133,15 @@ def generate_instance(
     else:
         shifts = tuple(np.zeros(d) for _ in range(n))
     noise = rng.standard_normal((n, d, m))
-    clouds = []
-    for i in range(n):
-        obs = rots[i] @ (a - shifts[i][:, None]) + sigma * noise[i]
-        clouds.append(PointCloud(obs))
+    observed = np.stack(
+        [rots[i] @ (a - shifts[i][:, None]) + sigma * noise[i] for i in range(n)]
+    )
     return SyntheticInstance(
         truth=PointCloud(a),
         rotations=RotationStack(rots),
         shifts=shifts,
         sigma=float(sigma),
-        observed=PointCloudSet(tuple(clouds)),
+        observed=PointCloudSet.from_array(observed),
         seed=seed,
         noise=noise,
         cloud_model=model,

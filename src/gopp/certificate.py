@@ -54,7 +54,7 @@ class Certificate:
             "lambda_min": self.lambda_min,
             "min_block_eig": self.min_block_eig,
             "asymmetry": self.asymmetry,
-            "lambda_blocks": [b.flatten().tolist() for b in self.lambda_blocks],
+            "lambda_blocks": self.lambda_blocks.reshape(len(self.lambda_blocks), -1).tolist(),
         }
 
 

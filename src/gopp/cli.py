@@ -24,14 +24,14 @@ from .bench import (
 from .bm import BmConfig, solve_bm
 from .certificate import certify
 from .gpm import GpmConfig, NumericalError, solve
-from .linops import StiefelStack
 from .model import (
-    LineReader,
     build_data_matrix,
     build_gram,
     read_cloud_set,
+    read_stack,
     write_cloud,
     write_cloud_set,
+    write_stack,
 )
 
 EXIT_OK = 0
@@ -54,22 +54,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def write_stack(path, stack: StiefelStack) -> None:
-    lines = [f"{stack.n} {stack.d} {stack.p}"]
-    for row in stack.stacked:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_stack(path) -> StiefelStack:
-    lines = LineReader(path)
-    lineno, (n, d, p) = lines.header("n d p")
-    rows = [lines.row(p, "a stack row")[1] for _ in range(n * d)]
-    lines.finish()
-    return lines.build(lineno, StiefelStack, np.array(rows).reshape(n, d, p))
 
 
 def _load_config_defaults(path) -> dict:
@@ -180,7 +164,7 @@ def build_parser() -> _Parser:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)  # one line: with indent, json falls back to its slow Python encoder
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -87,7 +87,7 @@ class SolveReport:
                 "n": self.solution.n,
                 "d": self.solution.d,
                 "p": self.solution.p,
-                "blocks_row_major": [b.flatten().tolist() for b in self.solution.blocks],
+                "blocks_row_major": self.solution.blocks.reshape(self.solution.n, -1).tolist(),
             },
             "p": self.solution.p,
             "singular_values_of_S": self.singular_values_of_s,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gopp.cli
 from gopp.bench import generate_instance, run_trial
 from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
 from gopp.linops import StiefelStack
@@ -84,6 +85,30 @@ class TestSolve:
         )
         assert code == EXIT_OK
         assert json.loads(report_path.read_text())["converged"] is True
+
+    def test_report_is_one_line_of_json(self, cloud_set_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert run_cli(["solve", str(cloud_set_file), "--out", str(report_path)]) == EXIT_OK
+        text = report_path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert run_cli(["solve", str(cloud_set_file)]) == EXIT_OK
+        assert capsys.readouterr().out == text
+        doc = json.loads(text)
+        assert np.array(doc["solution"]["blocks_row_major"]).shape == (6, 4)
+        assert np.array(doc["certificate"]["lambda_blocks"]).shape == (6, 4)
+
+    def test_traced_names_are_looked_up_once(self, cloud_set_file, tmp_path, monkeypatch):
+        # The benchmark times these layers by wrapping the gopp.cli attributes.
+        calls = {}
+        for name in ("read_cloud_set", "build_gram", "solve", "certify"):
+            def counted(*args, _name=name, _original=getattr(gopp.cli, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gopp.cli, name, counted)
+        out = tmp_path / "report.json"
+        assert run_cli(["solve", str(cloud_set_file), "--out", str(out)]) == EXIT_OK
+        assert calls == {"read_cloud_set": 1, "build_gram": 1, "solve": 1, "certify": 1}
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE

@@ -1,12 +1,14 @@
 """Unit tests for the observation model, shift estimation, and Gram matrix."""
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import gopp.model
 from gopp.gpm import objective
 from gopp.linops import RotationStack, StiefelStack
 from gopp.model import (
@@ -19,11 +21,13 @@ from gopp.model import (
     estimate_shifts,
     read_cloud,
     read_cloud_set,
+    read_stack,
     write_cloud,
     write_cloud_set,
+    write_stack,
 )
 
-from conftest import random_orthogonal, random_stack
+from conftest import oracle_read, random_orthogonal, random_stack
 
 
 def make_cloud_set(rng, n, d, m):
@@ -326,3 +330,182 @@ class TestFileFormat:
             path = f"{tmp}/cloud.txt"
             write_cloud(path, PointCloud(pts))
             assert np.array_equal(read_cloud(path).points, pts)
+
+
+# Tokens put in place of one field: malformed, non-finite, or valid for float() but not numpy.
+TOKENS = {"bad_token": "1.0.0", "nan": "nan", "inf": "-inf", "underscore": "1_0",
+          "fullwidth": "\uff11.\uff15"}
+CORRUPTIONS = (
+    "none", "truncate", "cut_line", "extra_field", "missing_field", "comment",
+    "tabs_and_blanks", "record_shape", *TOKENS,
+)
+
+
+def corrupt(lines, how, k, j, record_lines):
+    """`lines` (no newlines) with corruption `how` at line k and field j (both mod size).
+
+    `record_lines` holds the header lines a "record_shape" corruption may change.
+    """
+    lines = list(lines)
+    k %= len(lines)
+    fields = lines[k].split(" ")
+    j %= len(fields)
+    if how in TOKENS:
+        fields[j] = TOKENS[how]
+        lines[k] = " ".join(fields)
+    elif how == "truncate":
+        del lines[k:]
+    elif how == "cut_line":
+        lines[k:] = [lines[k][: len(lines[k]) // 2]]
+    elif how == "extra_field":
+        lines[k] += " 0.5"
+    elif how == "missing_field":
+        lines[k] = " ".join(fields[:-1])
+    elif how == "comment":
+        lines[k] += "  # a note"
+    elif how == "tabs_and_blanks":
+        lines = [ln.replace(" ", "\t") for ln in lines]
+        lines[k:k] = ["", " \t "]
+    elif how == "record_shape":  # a later record declares another shape
+        h = record_lines[k % len(record_lines)]
+        counts = [int(v) for v in lines[h].split()]
+        counts[j % len(counts)] += 1
+        lines[h] = " ".join(map(str, counts))
+    return lines
+
+
+def write_random(kind, path, rng, n, d, extra):
+    """A valid file of `kind`; returns the header lines "record_shape" may change."""
+    if kind == "cloud":
+        write_cloud(path, PointCloud(rng.standard_normal((d, d + extra))))
+        return [0]
+    if kind == "cloud_set":
+        write_cloud_set(path, make_cloud_set(rng, n, d, d + extra))
+        return [1 + i * (d + 1) for i in range(1, n)]
+    write_stack(path, random_stack(rng, n, d, d + extra))
+    return [0]
+
+
+READERS = {
+    "cloud": (read_cloud, lambda c: c.points),
+    "cloud_set": (read_cloud_set, lambda s: s.points),
+    "stack": (read_stack, lambda s: s.blocks),
+}
+
+
+class TestBulkReaders:
+    # No explain phase: on a failure it traced this test for minutes before reporting.
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.explain})
+    @given(
+        kind=st.sampled_from(sorted(READERS)),
+        how=st.sampled_from(CORRUPTIONS),
+        n=st.integers(min_value=2, max_value=4),
+        d=st.integers(min_value=1, max_value=3),
+        extra=st.integers(min_value=1, max_value=3),
+        k=st.integers(min_value=0, max_value=10**6),
+        j=st.integers(min_value=0, max_value=10**6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_readers_match_line_by_line_oracle(self, kind, how, n, d, extra, k, j, seed):
+        # Bitwise-equal values, or the oracle's message with its file and line;
+        # never a warning on the way.
+        read, values = READERS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/{kind}.txt"
+            record_lines = write_random(kind, path, np.random.default_rng(seed), n, d, extra)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w") as fh:
+                fh.writelines(ln + "\n" for ln in corrupt(lines, how, k, j, record_lines))
+            try:
+                expected = oracle_read(path, kind)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got, warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    read(path)
+                assert str(got.value) == str(exc)
+                return
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = values(read(path))
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_clean_file_takes_the_one_call_parse(self, kind, rng, tmp_path, monkeypatch):
+        def no_loop(lines):
+            raise AssertionError("fell back to the line loop")
+
+        monkeypatch.setattr(gopp.model, f"_{kind}_loop", no_loop)
+        path = tmp_path / "file.txt"
+        write_random(kind, path, rng, 3, 2, 2)
+        read, values = READERS[kind]
+        assert values(read(path)).size > 0
+
+    def test_float_spelling_numpy_rejects_is_read_by_the_loop(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("2\n1 2\n1_0 2\n1 2\n\uff13 4\n")
+        assert np.array_equal(read_cloud_set(path).points, [[[10.0, 2.0]], [[3.0, 4.0]]])
+
+
+class TestFromArray:
+    def test_clouds_are_views_of_the_checked_array(self, rng):
+        pts = rng.standard_normal((3, 2, 5))
+        clouds = PointCloudSet.from_array(pts)
+        assert clouds.points.shape == (3, 2, 5) and not clouds.points.flags.writeable
+        for i, c in enumerate(clouds.clouds):
+            assert np.shares_memory(c.points, clouds.points)
+            assert np.array_equal(c.points, pts[i])
+
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            (np.zeros((1, 2, 4)), "n >= 2"),
+            (np.zeros((3, 2, 2)), "m >= d\\+1"),
+            (np.full((3, 2, 4), np.inf), "finite"),
+            (np.zeros((2, 4)), "n x d x m"),
+        ],
+    )
+    def test_rejects_what_the_constructors_reject(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            PointCloudSet.from_array(points)
+
+    def test_points_of_a_constructed_set(self, rng):
+        clouds = make_cloud_set(rng, 3, 2, 4)
+        assert np.array_equal(clouds.points, [c.points for c in clouds.clouds])
+
+
+@pytest.mark.parametrize("center_first", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=4),
+    m_extra=st.integers(min_value=1, max_value=300),
+    scale=st.integers(min_value=-6, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_build_gram_bitwise_equals_per_cloud_stack(center_first, n, d, m_extra, scale, seed):
+    # Centring the whole (n, d, m) stack at once gives the factor that
+    # centring cloud by cloud gives, to the bit.
+    rng = np.random.default_rng(seed)
+    shifts = rng.standard_normal((n, d, 1)) * 10.0**scale
+    clouds = PointCloudSet.from_array(rng.standard_normal((n, d, d + m_extra)) + shifts)
+    per_cloud = [center(c).points if center_first else c.points for c in clouds.clouds]
+    factor = build_gram(clouds, center_first=center_first).factor
+    assert factor.tobytes() == np.vstack(per_cloud).tobytes()
+
+
+def test_writers_print_each_value_as_its_repr(rng, tmp_path):
+    clouds = PointCloudSet(
+        tuple(PointCloud(rng.standard_normal((2, 4)) * 10.0 ** rng.integers(-9, 9, (2, 4)))
+              for _ in range(3))
+    )
+    stack = random_stack(rng, 2, 2, 3)
+    expected_set = ["3"]
+    for c in clouds.clouds:
+        expected_set += ["2 4"] + [" ".join(repr(float(v)) for v in row) for row in c.points]
+    expected_stack = ["2 2 3"] + [" ".join(repr(float(v)) for v in row) for row in stack.stacked]
+    write_cloud_set(tmp_path / "set.txt", clouds)
+    write_stack(tmp_path / "stack.txt", stack)
+    assert (tmp_path / "set.txt").read_text() == "\n".join(expected_set) + "\n"
+    assert (tmp_path / "stack.txt").read_text() == "\n".join(expected_stack) + "\n"
