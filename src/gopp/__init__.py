@@ -11,7 +11,6 @@ from .linops import (
     df_squared_identity,
     gram_change,
     lambda_kth_smallest,
-    partial_trace,
     polar,
     polar_blockwise,
     top_d_left_singular,
@@ -30,7 +29,6 @@ from .gpm import (
     GpmConfig,
     NumericalError,
     SolveReport,
-    epsilon_hat,
     estimate_rate,
     gpm_step,
     objective,
@@ -42,7 +40,6 @@ from .bm import (
     BmConfig,
     LandscapeReport,
     SecondOrderResult,
-    euclidean_gradient,
     landscape_bounds,
     retract,
     riemannian_gradient,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bm import BmConfig, solve_bm
 from .certificate import certify
-from .gpm import GpmConfig, NumericalError, solve
+from .gpm import GpmConfig, NumericalError, check_time_limit, solve
 from .linops import RotationStack, StiefelStack, df, polar
 from .model import (
     GramMatrix,
@@ -44,7 +44,7 @@ class PhaseGrid:
     sigma_list: tuple = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
     trials_per_cell: int = 20
     base_seed: int = 0
-    time_limit_s: float = 60.0
+    time_limit_s: float | None = 60.0
 
     def __post_init__(self):
         if self.cloud_model not in CLOUD_MODELS:
@@ -53,6 +53,7 @@ class PhaseGrid:
             raise ValueError("m_list, n_list, sigma_list must be non-empty")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
+        check_time_limit(self.time_limit_s)
 
 
 @dataclass

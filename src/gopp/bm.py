@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import build_lambda
-from .gpm import NumericalError, SolveReport, objective, random_init
+from .gpm import NumericalError, SolveReport, check_time_limit, objective, random_init
 from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from .model import GramMatrix, SyntheticInstance
 
@@ -38,11 +38,7 @@ class BmConfig:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-
-def euclidean_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
-    """Gradient of <C, S S^T> in the ambient space: block i is 2 sum_j C_ij S_j."""
-    return 2.0 * (c @ s.stacked).reshape(s.n, s.d, s.p)
+        check_time_limit(self.time_limit_s)
 
 
 def tangent_project_stack(s: StiefelStack, g: np.ndarray) -> np.ndarray:

@@ -79,6 +79,10 @@ def certify(
     psd_tol: float = 0.0,
 ) -> Certificate:
     """Evaluate the dual certificate for a candidate stack (p >= d allowed)."""
+    if not stat_tol > 0:
+        raise ValueError(f"stat_tol must be positive, got {stat_tol}")
+    if not math.isfinite(psd_tol):
+        raise ValueError(f"psd_tol must be finite, got {psd_tol}")
     raw = build_lambda(c, s)
     asymmetry = float(np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2))))
     blocks = 0.5 * (raw + raw.transpose(0, 2, 1))

@@ -16,6 +16,8 @@ import sys
 import numpy as np
 
 from .bench import (
+    CLOUD_MODELS,
+    METHODS,
     PhaseGrid,
     generate_instance,
     phase_diagram,
@@ -23,7 +25,7 @@ from .bench import (
 )
 from .bm import BmConfig, solve_bm
 from .certificate import certify
-from .gpm import GpmConfig, NumericalError, solve
+from .gpm import INIT_MODES, GpmConfig, NumericalError, solve
 from .model import (
     build_data_matrix,
     build_gram,
@@ -102,7 +104,7 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices  # subcommand name -> its parser
 
     g = sub.add_parser("generate", parents=[], help="emit a synthetic cloud-set file")
-    g.add_argument("--model", choices=("uniform_cube", "standard_normal"), default="uniform_cube")
+    g.add_argument("--model", choices=CLOUD_MODELS, default="uniform_cube")
     g.add_argument("--n", type=int, default=100)
     g.add_argument("--m", type=int, default=25)
     g.add_argument("--d", type=int, default=3)
@@ -116,7 +118,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="power method on a cloud-set file")
     s.add_argument("input", help="cloud-set file")
-    s.add_argument("--init", choices=("spectral", "random"), default="spectral")
+    s.add_argument("--init", choices=INIT_MODES, default="spectral")
     s.add_argument("--tol", type=float, default=1e-6)
     s.add_argument("--max-iter", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
@@ -144,7 +146,7 @@ def build_parser() -> _Parser:
     _add_common(b)
 
     ph = sub.add_parser("phase", help="Monte Carlo phase-transition grid")
-    ph.add_argument("--model", choices=("uniform_cube", "standard_normal"), default="uniform_cube")
+    ph.add_argument("--model", choices=CLOUD_MODELS, default="uniform_cube")
     ph.add_argument("--d", type=int, default=3)
     ph.add_argument("--m", type=str, default="25", help="comma-separated m values")
     ph.add_argument("--n", type=str, default="100", help="comma-separated n values")
@@ -154,7 +156,7 @@ def build_parser() -> _Parser:
     )
     ph.add_argument("--trials", type=int, default=20)
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--method", choices=("gpm_spectral", "gpm_random", "bm"), default="gpm_random")
+    ph.add_argument("--method", choices=METHODS, default="gpm_random")
     ph.add_argument("--p", type=int, help="columns per block for method=bm")
     ph.add_argument("--time-limit", type=float, default=60.0, help="per-trial cap in seconds")
     ph.add_argument("--workers", type=int, default=1)

@@ -1,10 +1,11 @@
 """Generalized power method: spectral start, fixed-point iteration, rate fit.
 
 The iteration is S <- blockwise-polar(C S), with C applied through its factor
-(``c @ S``).  Stopping uses the Gram-image residual
+(``c @ S``).  It starts from a given stack when the caller passes one, else
+from the spectral or a random start.  Stopping uses the Gram-image residual
 ||S_next S_next^T - S S^T||_F <= tol, evaluated from p x p products
 (:func:`gram_change`); the reported solution is gauge-fixed so its first
-block is the identity.
+block is [I_d | 0].
 """
 from __future__ import annotations
 
@@ -21,13 +22,12 @@ from .linops import (
     StiefelStack,
     df,
     gram_change,
-    polar,
     polar_blockwise,
     top_d_left_singular,
 )
 from .model import GramMatrix
 
-INIT_MODES = ("spectral", "ground_truth", "random")
+INIT_MODES = ("spectral", "random")
 
 
 class NumericalError(RuntimeError):
@@ -50,6 +50,13 @@ class GpmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        check_time_limit(self.time_limit_s)
+
+
+def check_time_limit(time_limit_s: float | None) -> None:
+    """A time limit is None (no limit) or a positive number of seconds."""
+    if time_limit_s is not None and not time_limit_s > 0:
+        raise ValueError(f"time_limit_s must be None or positive, got {time_limit_s}")
 
 
 @dataclass
@@ -97,11 +104,6 @@ class SolveReport:
         return doc
 
 
-def epsilon_hat(s: StiefelStack, z: StiefelStack) -> float:
-    """Normalized distance to a known ground truth: d_F(S, Z) / sqrt(nd)."""
-    return df(s, z) / math.sqrt(s.n * s.d)
-
-
 def objective(c: GramMatrix, s: StiefelStack) -> float:
     """<C, S S^T> = Tr(S^T C S)."""
     ss = s.stacked
@@ -133,9 +135,14 @@ def gpm_step(c: GramMatrix, s: StiefelStack) -> StiefelStack:
 
 
 def gauge_fix(s: StiefelStack) -> StiefelStack:
-    """Right-multiply so block 1 becomes the identity (removes the global gauge)."""
-    q = polar(s.blocks[0]).T
-    return StiefelStack(s.blocks @ q)
+    """Right-multiply by an orthogonal Q so block 1 becomes [I_d | 0] (removes the gauge).
+
+    Block 1 = U [I_d | 0] V^T (full SVD) gives Q^T = V^T with its first d rows
+    times U; at p = d that is polar(block 1)^T.
+    """
+    u, _, qt = np.linalg.svd(s.blocks[0])
+    qt[: s.d] = u @ qt[: s.d]
+    return StiefelStack(s.blocks @ qt.T)
 
 
 def solve(
@@ -146,20 +153,23 @@ def solve(
 ) -> SolveReport:
     """Run the power method to a fixed point of S = polar_blockwise(C S).
 
-    Reaching max_iter is not an exception: the report comes back with
-    converged=False and the partial history.
+    A given s_init, of n blocks of d x p with any p >= d, is the start and
+    config.init is not read; otherwise config.init picks the spectral start
+    (from d_for_init) or a random one (from config.seed).  Reaching max_iter
+    is not an exception: the report comes back with converged=False and the
+    partial history.
     """
     n, d = c.n, c.d
-    if config.init == "spectral":
+    if s_init is not None:
+        if (s_init.n, s_init.d) != (n, d):
+            raise ValueError("s_init stack does not match (n, d)")
+        s = s_init
+    elif config.init == "spectral":
         if d_for_init is None:
             raise ValueError("spectral init needs the stacked data matrix D")
         s = spectral_init(d_for_init, n)
-    elif config.init == "random":
+    else:
         s = random_init(n, d, np.random.default_rng(config.seed))
-    elif config.init == "ground_truth":
-        if s_init is None:
-            raise ValueError(f"init={config.init!r} needs an explicit starting stack")
-        s = s_init
     start = time.monotonic()
     residual_history: list[float] = []
     objective_history = [objective(c, s)]

@@ -4,8 +4,8 @@ A "stack" is n matrices of size d x p (p >= d) stored as a (n, d, p) array.
 Stacked vertically they form an nd x p matrix, the basic variable of the
 synchronization objective.  This module provides the polar projection onto
 the orthogonal group / Stiefel manifold, the alignment distance d_F, the
-Gram-change residual ||S'S'^T - SS^T||_F from p x p products, partial traces,
-the eigenvalues of block-diagonal minus low-rank matrices, and truncated SVDs
+Gram-change residual ||S'S'^T - SS^T||_F from p x p products, the
+eigenvalues of block-diagonal minus low-rank matrices, and truncated SVDs
 used everywhere else.
 """
 from __future__ import annotations
@@ -42,13 +42,10 @@ class StiefelStack:
 
     def __post_init__(self):
         blocks = np.ascontiguousarray(np.asarray(self.blocks, dtype=float))
-        if blocks.ndim != 3:
-            raise ValueError(f"expected (n, d, p) blocks, got shape {blocks.shape}")
-        n, d, p = blocks.shape
-        if n < 1 or d < 1 or p < d:
-            raise ValueError(f"invalid stack shape n={n}, d={d}, p={p}")
+        _check_shape(blocks)
         if not np.all(np.isfinite(blocks)):
             raise ValueError("stack blocks must be finite")
+        d = blocks.shape[1]
         gram = blocks @ blocks.transpose(0, 2, 1)
         err = np.linalg.norm(gram - np.eye(d), axis=(1, 2))
         worst = int(np.argmax(err))
@@ -58,6 +55,14 @@ class StiefelStack:
             )
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _orthonormal(cls, blocks: np.ndarray) -> "StiefelStack":
+        """Wrap blocks that are row-orthonormal by construction, without the re-check."""
+        blocks.setflags(write=False)
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "blocks", blocks)
+        return stack
 
     @property
     def n(self) -> int:
@@ -78,21 +83,20 @@ class StiefelStack:
         return self.blocks.reshape(n * d, p)
 
     @classmethod
-    def from_stacked(cls, mat: np.ndarray, n: int) -> "StiefelStack":
-        mat = np.asarray(mat, dtype=float)
-        nd, p = mat.shape
-        if nd % n != 0:
-            raise ValueError(f"cannot split {nd} rows into {n} blocks")
-        d = nd // n
-        return cls(mat.reshape(n, d, p))
-
-    @classmethod
     def identity(cls, n: int, d: int, p: int | None = None) -> "StiefelStack":
         """The synchronized stack Z: n copies of [I_d | 0]."""
         p = d if p is None else p
         block = np.zeros((d, p))
         block[:, :d] = np.eye(d)
         return cls(np.broadcast_to(block, (n, d, p)).copy())
+
+
+def _check_shape(blocks: np.ndarray) -> None:
+    if blocks.ndim != 3:
+        raise ValueError(f"expected (n, d, p) blocks, got shape {blocks.shape}")
+    n, d, p = blocks.shape
+    if n < 1 or d < 1 or p < d:
+        raise ValueError(f"invalid stack shape n={n}, d={d}, p={p}")
 
 
 # p == d specialization; same storage and semantics.
@@ -150,8 +154,7 @@ def polar(x: np.ndarray) -> np.ndarray:
 def polar_blockwise(stack) -> StiefelStack:
     """Blockwise polar projection of an (n, d, p) array or stack onto St(d,p)^n."""
     blocks = stack.blocks if isinstance(stack, StiefelStack) else np.asarray(stack, dtype=float)
-    if blocks.ndim != 3:
-        raise ValueError(f"expected (n, d, p) blocks, got shape {blocks.shape}")
+    _check_shape(blocks)
     if not np.all(np.isfinite(blocks)):
         raise ValueError("polar_blockwise input must be finite")
     u, s, vt = np.linalg.svd(blocks, full_matrices=False)
@@ -160,7 +163,8 @@ def polar_blockwise(stack) -> StiefelStack:
         warnings.warn(
             f"polar factor of block {i} is non-unique", RankDeficiencyWarning, stacklevel=2
         )
-    return StiefelStack(u @ vt)
+    # U V^T of an SVD is row-orthonormal by construction, so it skips the re-check.
+    return StiefelStack._orthonormal(u @ vt)
 
 
 def align(x, y) -> AlignmentResult:
@@ -218,24 +222,6 @@ def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
         + 2.0 * np.trace((delta.T @ s_new) @ (delta.T @ s))
     )
     return math.sqrt(max(float(sq), 0.0))
-
-
-def partial_trace(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted partial trace of a block matrix: out[i, j] = Tr(W M_ij).
-
-    m is nd x nd with d inferred from the d x d weight W.
-    """
-    m = np.asarray(m, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weight must be square, got shape {w.shape}")
-    d = w.shape[0]
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % d != 0:
-        raise ValueError(f"matrix shape {m.shape} incompatible with d={d} blocks")
-    n = m.shape[0] // d
-    m4 = m.reshape(n, d, n, d)
-    # Tr(W M_ij) = sum_{a,b} W[a, b] M_ij[b, a]
-    return np.einsum("ab,ibja->ij", w, m4)
 
 
 def lambda_kth_smallest(blocks: np.ndarray, factor: np.ndarray, k: int) -> float:

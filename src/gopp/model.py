@@ -38,7 +38,7 @@ def _checked_points(points, ndim: int) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A d x m real matrix whose columns are samples in R^d (m >= d+1)."""
 
@@ -56,7 +56,7 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloudSet:
     """n point clouds sharing the same (d, m)."""
 
@@ -109,7 +109,7 @@ class PointCloudSet:
         return self.clouds[0].m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """A generated instance with its ground truth retained.
 

@@ -25,6 +25,20 @@ def dense_gap(blocks, factor):
     return mat
 
 
+def partial_trace(m, w):
+    """Weighted partial trace of an nd x nd block matrix: out[i, j] = Tr(W M_ij).
+
+    d is inferred from the d x d weight W.  A dense oracle: the package
+    computes these traces from factors without forming M.
+    """
+    m = np.asarray(m, dtype=float)
+    w = np.asarray(w, dtype=float)
+    d = w.shape[0]
+    n = m.shape[0] // d
+    # Tr(W M_ij) = sum_{a,b} W[a, b] M_ij[b, a]
+    return np.einsum("ab,ibja->ij", w, m.reshape(n, d, n, d))
+
+
 def random_tangent(rng, stack):
     """Random tangent stack at `stack` (blockwise sym-part removal)."""
     t = rng.standard_normal((stack.n, stack.d, stack.p))

@@ -255,7 +255,7 @@ def test_criterion_10_low_noise_always_certifies():
         gram = build_gram(inst.observed, center_first=False)
         solved = solve(
             gram,
-            GpmConfig(init="ground_truth", tol=1e-12),
+            GpmConfig(tol=1e-12),
             s_init=inst.rotations,
         )
         if certify(gram, solved.solution).certified:

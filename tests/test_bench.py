@@ -261,3 +261,11 @@ class TestGridValidation:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             PhaseGrid(trials_per_cell=0)
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_rejects_time_limit_not_positive(self, limit):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            PhaseGrid(time_limit_s=limit)
+
+    def test_no_time_limit_allowed(self):
+        assert PhaseGrid(time_limit_s=None).time_limit_s is None

@@ -5,7 +5,6 @@ import pytest
 from gopp.bench import generate_instance
 from gopp.bm import (
     BmConfig,
-    euclidean_gradient,
     landscape_bounds,
     retract,
     riemannian_gradient,
@@ -15,10 +14,10 @@ from gopp.bm import (
 )
 from gopp.certificate import certify
 from gopp.gpm import GpmConfig, objective, solve
-from gopp.linops import StiefelStack, partial_trace
+from gopp.linops import StiefelStack
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import random_orthogonal, random_stack, random_tangent
+from conftest import partial_trace, random_orthogonal, random_stack, random_tangent
 
 
 def small_instance(n=8, d=2, m=6, sigma=0.2, seed=0):
@@ -27,21 +26,12 @@ def small_instance(n=8, d=2, m=6, sigma=0.2, seed=0):
 
 
 class TestGradients:
-    def test_zero_gram_zero_gradient(self, rng):
-        gram = GramMatrix(factor=np.zeros((6, 3)), n=3, d=2)
-        s = random_stack(rng, 3, 2)
-        assert np.all(euclidean_gradient(gram, s) == 0.0)
-
-    def test_identity_gram_single_block(self, rng):
-        gram = GramMatrix(factor=np.eye(2), n=1, d=2)
-        s = random_stack(rng, 1, 2, 3)
-        assert np.allclose(euclidean_gradient(gram, s), 2.0 * s.blocks, atol=1e-12)
-
     def test_riemannian_is_half_projected_euclidean(self, rng):
         _, gram = small_instance()
         s = random_stack(rng, 8, 2, 3)
         lhs = riemannian_gradient(gram, s)
-        rhs = 0.5 * tangent_project_stack(s, euclidean_gradient(gram, s))
+        euclidean = 2.0 * (gram @ s.stacked).reshape(s.n, s.d, s.p)
+        rhs = 0.5 * tangent_project_stack(s, euclidean)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_vanishes_at_noiseless_truth(self):
@@ -178,6 +168,11 @@ class TestSolveBm:
     def test_nonpositive_grad_tol_rejected(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol must be positive"):
             BmConfig(p=5, grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_time_limit_not_positive_rejected(self, limit):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            BmConfig(p=5, time_limit_s=limit)
 
     @pytest.mark.parametrize("max_iter", [5000, 3])
     def test_residual_history_is_gradient_norm_at_each_iterate(self, max_iter):

@@ -101,6 +101,23 @@ class TestCertify:
         assert cert.verdict is Verdict.NOT_STATIONARY
         assert not cert.certified
 
+    @pytest.mark.parametrize(
+        "tols, name",
+        [
+            ({"stat_tol": float("nan")}, "stat_tol"),
+            ({"stat_tol": 0.0}, "stat_tol"),
+            ({"stat_tol": -1e-6}, "stat_tol"),
+            ({"psd_tol": float("nan")}, "psd_tol"),
+            ({"psd_tol": float("inf")}, "psd_tol"),
+            ({"psd_tol": -float("inf")}, "psd_tol"),
+        ],
+    )
+    def test_rejects_tolerances_that_decide_nothing(self, rng, tols, name):
+        inst = generate_instance("uniform_cube", 8, 10, 3, 0.0, seed=3)
+        gram = build_gram(inst.observed, center_first=False)
+        with pytest.raises(ValueError, match=name):
+            certify(gram, random_stack(rng, 8, 3), **tols)
+
     def test_d1_verdicts_match_enumeration(self):
         # Certified solutions must attain the exhaustive sign-vector optimum.
         checked = 0

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gopp.bench
 import gopp.cli
+import gopp.gpm
 from gopp.bench import generate_instance, run_trial
 from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
 from gopp.linops import StiefelStack
@@ -148,6 +150,18 @@ class TestCertify:
         assert json.loads(out.read_text())["verdict"] == "certified_unique_global"
 
 
+    @pytest.mark.parametrize("stat_tol", ["nan", "0"])
+    def test_stat_tol_not_positive_rejected(self, cloud_set_file, tmp_path, capsys, stat_tol):
+        stack_path = tmp_path / "stack.txt"
+        write_stack(stack_path, StiefelStack.identity(6, 2))
+        out = tmp_path / "cert.json"
+        code = run_cli(["certify", str(cloud_set_file), str(stack_path),
+                        "--stat-tol", stat_tol, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "stat_tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBm:
     def test_runs_and_reports_singular_values(self, cloud_set_file, tmp_path):
         out = tmp_path / "bm.json"
@@ -196,6 +210,32 @@ class TestPhase:
         assert code == EXIT_USAGE
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+    def test_time_limit_not_positive_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, limit
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(gopp.bench, "run_trial", no_trial)
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.0",
+             "--trials", "1", "--time-limit", limit, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "time_limit_s must be None or positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestChoices:
+    def test_choice_lists_are_the_library_tuples(self):
+        commands = gopp.cli.build_parser().commands
+        assert commands["solve"].options["init"].choices is gopp.gpm.INIT_MODES
+        assert commands["phase"].options["method"].choices is gopp.bench.METHODS
+        for name in ("generate", "phase"):
+            assert commands[name].options["model"].choices is gopp.bench.CLOUD_MODELS
 
 
 class TestUsageErrors:

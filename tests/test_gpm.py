@@ -7,9 +7,9 @@ import pytest
 from gopp.bench import generate_instance
 from gopp.certificate import certify
 from gopp.gpm import (
+    INIT_MODES,
     GpmConfig,
     estimate_rate,
-    epsilon_hat,
     gauge_fix,
     gpm_step,
     objective,
@@ -46,6 +46,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="tol"):
             GpmConfig(tol=float("nan"))
 
+    def test_init_modes_are_the_computed_starts(self):
+        assert INIT_MODES == ("spectral", "random")
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_rejects_time_limit_not_positive(self, limit):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            GpmConfig(time_limit_s=limit)
+
+    @pytest.mark.parametrize("limit", [None, 1e-3, float("inf")])
+    def test_accepts_time_limit(self, limit):
+        assert GpmConfig(time_limit_s=limit).time_limit_s == limit
+
 
 class TestSpectralInit:
     def test_noiseless_recovers_truth(self):
@@ -72,7 +84,7 @@ class TestSpectralInit:
         z = StiefelStack.identity(inst.n, inst.d)
         svals = np.linalg.svd(inst.truth.points, compute_uv=False)
         kappa = svals[0] / svals[-1]
-        eps = epsilon_hat(s0, z)
+        eps = df(s0, z) / math.sqrt(inst.n * inst.d)
         assert eps < 1.0 / (16.0 * kappa**2 * math.sqrt(inst.d))
 
     def test_bad_row_count(self, rng):
@@ -144,10 +156,26 @@ class TestSolve:
         with pytest.raises(ValueError, match="data matrix"):
             solve(gram, GpmConfig(init="spectral"))
 
-    def test_ground_truth_init_requires_stack(self):
+    def test_given_start_needs_no_data_matrix(self):
+        inst, gram = noiseless_setup()
+        z = StiefelStack.identity(inst.n, inst.d)
+        report = solve(gram, GpmConfig(init="spectral", keep_iterates=True), s_init=z)
+        assert report.iterates[0] is z
+
+    @pytest.mark.parametrize("n, d", [(11, 3), (12, 2)])
+    def test_given_start_shape_checked(self, n, d):
         _, gram = noiseless_setup()
-        with pytest.raises(ValueError, match="starting stack"):
-            solve(gram, GpmConfig(init="ground_truth"))
+        with pytest.raises(ValueError, match="does not match"):
+            solve(gram, GpmConfig(), s_init=StiefelStack.identity(n, d))
+
+    def test_wide_start_keeps_its_columns(self, rng):
+        inst = generate_instance("uniform_cube", 20, 10, 3, 0.3, seed=5)
+        gram = build_gram(inst.observed, center_first=False)
+        report = solve(gram, GpmConfig(keep_iterates=True), s_init=random_stack(rng, 20, 3, 5))
+        sol, last = report.solution, report.iterates[-1]
+        assert sol.blocks.shape == (20, 3, 5)
+        assert np.allclose(sol.blocks[0], np.eye(3, 5), atol=1e-12)
+        assert np.allclose(sol.stacked @ sol.stacked.T, last.stacked @ last.stacked.T, atol=1e-12)
 
     def test_gauge_fixed_solution(self):
         inst = generate_instance("uniform_cube", 8, 10, 2, 0.2, seed=8)
@@ -189,6 +217,16 @@ class TestGaugeFix:
         fixed = gauge_fix(s)
         assert np.allclose(fixed.blocks[0], np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("p", [4, 7])
+    def test_first_block_leads_wide_stacks(self, rng, p):
+        fixed = gauge_fix(random_stack(rng, 4, 3, p))
+        assert fixed.blocks.shape == (4, 3, p)
+        assert np.allclose(fixed.blocks[0], np.eye(3, p), atol=1e-12)
+
+    def test_matches_polar_of_first_block_at_p_equal_d(self, rng):
+        s = random_stack(rng, 4, 3)
+        assert np.array_equal(gauge_fix(s).blocks, s.blocks @ polar(s.blocks[0]).T)
+
     def test_gram_preserved(self, rng):
         s = random_stack(rng, 4, 3)
         fixed = gauge_fix(s)
@@ -212,7 +250,7 @@ class TestRateEstimate:
         inst, gram = noiseless_setup()
         report = solve(
             gram,
-            GpmConfig(init="ground_truth", keep_iterates=True),
+            GpmConfig(keep_iterates=True),
             s_init=StiefelStack.identity(inst.n, inst.d),
         )
         # Exact fixed point from the start: floor convention.
@@ -238,11 +276,6 @@ class TestRateEstimate:
 
 
 class TestDiagnostics:
-    def test_epsilon_hat_nonnegative(self, rng):
-        s = random_stack(rng, 3, 2)
-        z = StiefelStack.identity(3, 2)
-        assert epsilon_hat(s, z) >= 0.0
-
     def test_random_init_deterministic(self):
         a = random_init(3, 2, np.random.default_rng(9))
         b = random_init(3, 2, np.random.default_rng(9))

@@ -14,13 +14,12 @@ from gopp.linops import (
     df_squared_identity,
     gram_change,
     lambda_kth_smallest,
-    partial_trace,
     polar,
     polar_blockwise,
     top_d_left_singular,
 )
 
-from conftest import dense_gap, random_orthogonal, random_stack
+from conftest import dense_gap, partial_trace, random_orthogonal, random_stack
 
 
 class TestStiefelStack:
@@ -36,11 +35,6 @@ class TestStiefelStack:
     def test_rejects_p_less_than_d(self):
         with pytest.raises(ValueError):
             StiefelStack(np.zeros((2, 3, 2)))
-
-    def test_stacked_round_trip(self, rng):
-        s = random_stack(rng, 3, 2, 4)
-        back = StiefelStack.from_stacked(s.stacked, 3)
-        assert np.array_equal(back.blocks, s.blocks)
 
     def test_blocks_are_read_only(self, rng):
         s = random_stack(rng, 2, 2)
@@ -107,6 +101,23 @@ class TestPolarBlockwise:
         out = polar_blockwise(blocks)
         for i in range(4):
             assert np.allclose(out.blocks[i], polar(blocks[i]), atol=1e-12)
+
+    def test_output_is_read_only_and_orthonormal(self, rng):
+        out = polar_blockwise(rng.standard_normal((5, 3, 4)))
+        with pytest.raises(ValueError):
+            out.blocks[0, 0, 0] = 1.0
+        assert np.array_equal(StiefelStack(out.blocks).blocks, out.blocks)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (0, 2, 2), (2, 2)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            polar_blockwise(np.ones(shape))
+
+    def test_rejects_non_finite(self):
+        blocks = np.ones((2, 2, 2))
+        blocks[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            polar_blockwise(blocks)
 
 
 class TestAlign:

@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import gopp.model
+from gopp.bench import generate_instance
 from gopp.gpm import objective
 from gopp.linops import RotationStack, StiefelStack
 from gopp.model import (
@@ -54,6 +55,15 @@ class TestTypes:
         b = PointCloud(rng.standard_normal((2, 5)))
         with pytest.raises(ValueError, match="cloud 1"):
             PointCloudSet((a, b))
+
+    def test_equality_is_identity(self, rng):
+        a, b = PointCloud(np.zeros((2, 4))), PointCloud(np.zeros((2, 4)))
+        assert (a == b) is False and (a == a) is True
+        clouds = make_cloud_set(rng, 3, 2, 4)
+        assert (clouds == PointCloudSet(clouds.clouds)) is False and (clouds == clouds) is True
+        inst = generate_instance("uniform_cube", 3, 4, 2, 0.1, seed=0)
+        again = generate_instance("uniform_cube", 3, 4, 2, 0.1, seed=0)
+        assert (inst == again) is False and (inst == inst) is True
 
     def test_gram_block_access(self, rng):
         clouds = make_cloud_set(rng, 3, 2, 5)
