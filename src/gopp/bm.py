@@ -1,8 +1,10 @@
 """Low-rank factorized ascent on the block Stiefel manifold St(d,p)^n.
 
-Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction.
-At p = d this is the original orthogonal-block problem; at p = nd it attains
-the convex relaxation's value.  Includes sampled second-order criticality
+Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction:
+alternating Barzilai-Borwein trial steps, a grow rule where they are
+undefined, and Armijo backtracking as the safeguard.  At p = d this is the
+original orthogonal-block problem; at p = nd it attains the convex
+relaxation's value.  Includes sampled second-order criticality
 residuals and the deterministic landscape bounds for synthetic instances.
 C enters only through ``c @ S`` and its norms, never as a dense nd x nd matrix.
 """
@@ -85,10 +87,17 @@ def solve_bm(
 ) -> SolveReport:
     """Gradient ascent on St(d,p)^n; stops at small Riemannian gradient.
 
-    The step starts at 1/||C||_2 and backtracks by BACKTRACK until the Armijo
-    test with ARMIJO_C holds, which keeps the objective monotone; a
-    non-finite objective raises :class:`NumericalError`.  Where the
-    objective change drops below its float64 resolution
+    The first trial step is 1/||C||_2.  After that, with s = S_new - S and
+    y = grad(S_new) - grad(S) (ambient differences of the blocks), trial
+    steps alternate between BB1 <s,s>/|<s,y>| and BB2 |<s,y>|/<y,y>
+    (Barzilai and Borwein, IMA J. Numer. Anal., 1988; on the Stiefel
+    manifold, Wen and Yin, Math. Program., 2013).  Where <s,y> = 0 or the BB
+    value is not finite and positive, the trial step is instead the last
+    accepted step over BACKTRACK, capped at 1e6 times the last trial step.
+    Every trial step backtracks by BACKTRACK until the Armijo test with
+    ARMIJO_C holds, which keeps the objective monotone; a non-finite
+    objective raises :class:`NumericalError`.  Where the objective change
+    drops below its float64 resolution
     (|f_new - f| <= 8 eps |f|), Armijo cannot see an increase, and a step is
     accepted on the approximate Armijo condition of Hager and Zhang (SIAM J.
     Optim., 2005) instead: 2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.
@@ -136,11 +145,19 @@ def solve_bm(
             if step < 1e-20:
                 s_new, f_new, grad_new = s, f, grad
                 break
-        eta = min(step / BACKTRACK, 1e6 * eta)  # try growing next time
         if not math.isfinite(f_new):
             raise NumericalError("objective became non-finite during ascent")
-        s, f = s_new, f_new
-        grad = grad_new if grad_new is not None else riemannian_gradient(c, s)
+        if grad_new is None:
+            grad_new = riemannian_gradient(c, s_new)
+        # Next trial step: BB1 after even iterations, BB2 after odd ones.
+        ds = s_new.blocks - s.blocks
+        dg = grad_new - grad
+        sy, yy = abs(float(np.sum(ds * dg))), float(np.sum(dg * dg))
+        bb = math.nan
+        if sy > 0 and yy > 0:
+            bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
+        eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
+        s, f, grad = s_new, f_new, grad_new
         residual_history.append(float(np.linalg.norm(grad)))
         objective_history.append(f)
         iterations += 1
@@ -220,9 +237,9 @@ def second_order_residual(
         if val < sampled_min:
             sampled_min = val
             best_tangent = t
-    block_eigs = [np.linalg.eigh(b) for b in lam]
-    min_idx = int(np.argmin([e[0][0] for e in block_eigs]))
-    min_block_eig = float(block_eigs[min_idx][0][0])
+    block_vals, block_vecs = np.linalg.eigh(lam)
+    min_idx = int(np.argmin(block_vals[:, 0]))
+    min_block_eig = float(block_vals[min_idx, 0])
     if sampled_min <= min_block_eig:
         return SecondOrderResult(
             residual=sampled_min,
@@ -238,7 +255,7 @@ def second_order_residual(
         min_block_eig=min_block_eig,
         escape_tangent=None,
         escape_block=min_idx,
-        escape_vector=block_eigs[min_idx][1][:, 0],
+        escape_vector=block_vecs[min_idx, :, 0],
     )
 
 
@@ -271,12 +288,7 @@ def landscape_bounds(instance: SyntheticInstance, p: int) -> LandscapeReport:
     if svals[-1] <= 0.0 or not np.isfinite(svals[-1]):
         raise ValueError("A A^T is singular; rescaled noise undefined")
     kappa = float(svals[0] / svals[-1])
-    derotated = np.stack(
-        [
-            instance.rotations.blocks[i].T @ instance.observed.clouds[i].points
-            for i in range(n)
-        ]
-    )
+    derotated = instance.rotations.blocks.transpose(0, 2, 1) @ instance.observed.points
     delta_blocks = derotated - a  # includes shift terms if the instance has any
     # Delta_tilde = Delta A^T Z^T + Z A Delta^T + Delta Delta^T = U G U^T with
     # U = [Delta, Z] (nd x (m + d)) and Z = 1 (x) I_d, so both norms come from
@@ -294,7 +306,7 @@ def landscape_bounds(instance: SyntheticInstance, p: int) -> LandscapeReport:
     partial_trace_norm = float(np.linalg.norm(r_left @ r_right.T, 2))
     bound_rhs = n * (p - 2 * d) / (8.0 * kappa * (p + d) * math.sqrt(d))
     block_noise_bound = float(svals[-1]) / (12.0 * kappa)
-    max_block_noise = float(max(np.linalg.norm(delta_blocks[i], 2) for i in range(n)))
+    max_block_noise = float(np.linalg.norm(delta_blocks, 2, axis=(1, 2)).max())
     gamma = max(partial_trace_norm / delta_pi_norm, 1.0) if delta_pi_norm > 0 else 1.0
     delta_const = (
         (2.0 + math.sqrt(5.0)) * (p + d) * gamma / (p - 2 * d)

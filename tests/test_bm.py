@@ -1,7 +1,10 @@
 """Unit tests for the Stiefel-manifold ascent, curvature probe, and bounds."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gopp import bm
 from gopp.bench import generate_instance
 from gopp.bm import (
     BmConfig,
@@ -12,10 +15,10 @@ from gopp.bm import (
     solve_bm,
     tangent_project_stack,
 )
-from gopp.certificate import certify
-from gopp.gpm import GpmConfig, objective, solve
+from gopp.certificate import build_lambda, certify
+from gopp.gpm import GpmConfig, SolveReport, objective, solve
 from gopp.linops import StiefelStack
-from gopp.model import GramMatrix, build_data_matrix, build_gram
+from gopp.model import GramMatrix, PointCloudSet, build_data_matrix, build_gram
 
 from conftest import partial_trace, random_orthogonal, random_stack, random_tangent
 
@@ -164,6 +167,59 @@ class TestSolveBm:
         ]
         assert stalled == []
 
+    def test_bb_steps_converge_fast_on_criterion_8_instance(self):
+        # Alternating Barzilai-Borwein steps take 25-31 iterations per start
+        # here; the grow-and-halve rule they replaced took 54-90.
+        inst = generate_instance("uniform_cube", 100, 25, 3, 0.3, seed=8)
+        gram = build_gram(inst.observed, center_first=False)
+        for seed in range(30):
+            report = solve_bm(gram, BmConfig(p=7, seed=seed))
+            assert report.converged
+            assert report.iterations <= 50, seed
+            hist = report.objective_history
+            for prev, cur in zip(hist, hist[1:]):
+                assert cur >= prev - 1e-9 * abs(prev), seed
+
+    def test_step_falls_back_to_growth_when_bb_undefined(self, monkeypatch):
+        # A retraction that leaves S in place gives s = y = 0, so <s, y> = 0
+        # and neither BB step is defined: each trial step must then be the
+        # last accepted one over BACKTRACK, starting from 1/||C||_2.
+        _, gram = small_instance(sigma=0.3)
+        steps = []
+
+        def stuck(s, t, step):
+            steps.append(step)
+            return s
+
+        monkeypatch.setattr(bm, "retract", stuck)
+        report = solve_bm(gram, BmConfig(p=5, seed=1, max_iter=40))
+        assert isinstance(report, SolveReport)
+        assert report.iterations == 40
+        assert not report.converged and not report.timed_out
+        assert len(report.residual_history) == len(report.objective_history) == 41
+        assert np.all(np.isfinite(report.residual_history))
+        assert np.all(np.isfinite(report.objective_history))
+        assert len(set(report.objective_history)) == 1
+        assert len(steps) == 40
+        assert steps[0] == 1.0 / gram.spectral_norm()
+        for prev, cur in zip(steps, steps[1:]):
+            assert cur == prev / bm.BACKTRACK
+
+    def test_ascent_past_float64_resolution_stays_finite_and_monotone(self):
+        # With grad_tol far below the float64 floor the ascent keeps going
+        # where S can stop moving, which makes <s, y> zero.
+        _, gram = small_instance(sigma=0.0)
+        config = BmConfig(p=5, seed=0, grad_tol=1e-300, max_iter=300)
+        report = solve_bm(gram, config)
+        assert report.iterations == 300 and not report.converged
+        assert len(report.residual_history) == 301
+        assert np.all(np.isfinite(report.residual_history))
+        hist = report.objective_history
+        assert np.all(np.isfinite(hist))
+        for prev, cur in zip(hist, hist[1:]):
+            assert cur >= prev - 1e-9 * abs(prev)
+        assert report.residual_history[-1] <= 1e-12 * gram.fro_norm()
+
     @pytest.mark.parametrize("grad_tol", [0.0, -1e-8, float("nan")])
     def test_nonpositive_grad_tol_rejected(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol must be positive"):
@@ -245,6 +301,35 @@ class TestSecondOrder:
         many = second_order_residual(gram, report.solution, trials=100, seed=3)
         assert one.residual >= many.residual
 
+    @pytest.mark.parametrize("case", ["sign_saddle_d1", "sign_saddle_d2", "ascent_p5"])
+    def test_block_eigs_match_per_block_loop(self, case):
+        if case == "sign_saddle_d1":
+            gram = GramMatrix(factor=np.ones((3, 1)), n=3, d=1)
+            s = StiefelStack(np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1))
+        elif case == "sign_saddle_d2":
+            # C_ij = diag(1, 4) and S = (I, diag(1, -1), I): critical, with
+            # Lambda_22 = diag(3, -4).
+            gram = GramMatrix(factor=np.tile(np.diag([1.0, 2.0]), (3, 1)), n=3, d=2)
+            s = StiefelStack(np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]))
+        else:
+            _, gram = small_instance(sigma=0.2, seed=8)
+            s = solve_bm(gram, BmConfig(p=5, seed=8)).solution
+        result = second_order_residual(gram, s, trials=20, seed=3)
+        raw = build_lambda(gram, s)
+        lam = 0.5 * (raw + raw.transpose(0, 2, 1))
+        block_eigs = [np.linalg.eigh(b) for b in lam]
+        min_idx = int(np.argmin([e[0][0] for e in block_eigs]))
+        min_block_eig = float(block_eigs[min_idx][0][0])
+        assert result.min_block_eig == min_block_eig
+        assert result.residual == min(result.sampled_min, min_block_eig)
+        if result.sampled_min <= min_block_eig:
+            assert result.escape_block is None and result.escape_vector is None
+        else:
+            assert result.escape_block == min_idx
+            assert np.array_equal(result.escape_vector, block_eigs[min_idx][1][:, 0])
+        if case.startswith("sign_saddle"):
+            assert result.escape_block == 1
+
     def test_requires_first_order_criticality(self, rng):
         _, gram = small_instance()
         with pytest.raises(ValueError, match="critical"):
@@ -291,3 +376,31 @@ class TestLandscapeBounds:
         inst, _ = small_instance(sigma=0.3, seed=10)
         report = landscape_bounds(inst, p=5)
         assert report.gamma >= 1.0
+
+    @pytest.mark.parametrize("with_shifts", [False, True])
+    def test_matches_per_cloud_loop(self, with_shifts):
+        inst = generate_instance(
+            "uniform_cube", 9, 6, 2, 0.2, with_shifts=with_shifts, seed=11, haar_rotations=True
+        )
+        a = inst.truth.points
+        derotated = np.stack(
+            [
+                inst.rotations.blocks[i].T @ inst.observed.clouds[i].points
+                for i in range(inst.n)
+            ]
+        )
+        # The same instance already in the identity gauge: landscape_bounds
+        # then works on the loop's de-rotated clouds.
+        gauged = dataclasses.replace(
+            inst,
+            rotations=StiefelStack.identity(inst.n, inst.d),
+            observed=PointCloudSet.from_array(derotated),
+        )
+        report = landscape_bounds(inst, p=5)
+        expected = dataclasses.asdict(landscape_bounds(gauged, p=5))
+        expected["max_block_noise"] = max(
+            np.linalg.norm(derotated[i] - a, 2) for i in range(inst.n)
+        )
+        assert report.max_block_noise > 0.0
+        for name, value in dataclasses.asdict(report).items():
+            assert value == pytest.approx(expected[name], rel=1e-12), name
