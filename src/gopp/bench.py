@@ -19,7 +19,7 @@ import numpy as np
 from .bm import BmConfig, solve_bm
 from .certificate import certify
 from .gpm import GpmConfig, NumericalError, check_time_limit, solve
-from .linops import RotationStack, StiefelStack, df, polar
+from .linops import RotationStack, StiefelStack, df
 from .model import (
     GramMatrix,
     PointCloud,
@@ -126,17 +126,13 @@ def generate_instance(
     else:
         a = rng.standard_normal((d, m))
     if haar_rotations:
-        rots = np.stack([polar(rng.standard_normal((d, d))) for _ in range(n)])
+        u, _, vt = np.linalg.svd(rng.standard_normal((n, d, d)))
+        rots = u @ vt
     else:
         rots = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    if with_shifts:
-        shifts = tuple(rng.standard_normal(d) for _ in range(n))
-    else:
-        shifts = tuple(np.zeros(d) for _ in range(n))
+    shifts = rng.standard_normal((n, d)) if with_shifts else np.zeros((n, d))
     noise = rng.standard_normal((n, d, m))
-    observed = np.stack(
-        [rots[i] @ (a - shifts[i][:, None]) + sigma * noise[i] for i in range(n)]
-    )
+    observed = rots @ (a - shifts[:, :, None]) + sigma * noise
     return SyntheticInstance(
         truth=PointCloud(a),
         rotations=RotationStack(rots),
@@ -172,7 +168,7 @@ def run_trial(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     seed = instance.seed if seed is None else seed
-    has_shifts = any(np.any(s != 0) for s in instance.shifts)
+    has_shifts = bool(np.any(instance.shifts))
     gram = build_gram(instance.observed, center_first=has_shifts)
     t0 = time.perf_counter()
     try:

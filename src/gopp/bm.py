@@ -63,8 +63,10 @@ def riemannian_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
 def retract(s: StiefelStack, t: np.ndarray, step: float) -> StiefelStack:
     """Polar retraction of S + step * T back onto the manifold.
 
-    A rank-deficient block (possible for a wild step) is handled by halving
-    the step until the polar factor is unique again.
+    For T tangent at S, (S_i + step T_i)(S_i + step T_i)^T = I + step^2 T_i T_i^T
+    has no eigenvalue below 1, so no block can lose rank; a rank-deficient
+    block arises only for a non-tangent T, and is handled by halving the step
+    until the polar factor is unique again.
     """
     if step < 0:
         raise ValueError("step must be nonnegative")

@@ -3,10 +3,11 @@
 A "stack" is n matrices of size d x p (p >= d) stored as a (n, d, p) array.
 Stacked vertically they form an nd x p matrix, the basic variable of the
 synchronization objective.  This module provides the polar projection onto
-the orthogonal group / Stiefel manifold, the alignment distance d_F, the
-Gram-change residual ||S'S'^T - SS^T||_F from p x p products, the
-eigenvalues of block-diagonal minus low-rank matrices, and truncated SVDs
-used everywhere else.
+the orthogonal group / Stiefel manifold (blockwise from one batched eigh of
+the d x d Gram matrices, with the SVD for ill-conditioned blocks), the
+alignment distance d_F, the Gram-change residual ||S'S'^T - SS^T||_F from
+p x p products, the eigenvalues of block-diagonal minus low-rank matrices,
+and truncated SVDs used everywhere else.
 """
 from __future__ import annotations
 
@@ -20,6 +21,11 @@ import numpy as np
 RANK_TOL = 1e-12
 # Row-orthonormality acceptance for stack blocks, ||B B^T - I||_F.
 ORTH_TOL = 1e-10
+# polar_blockwise takes a block's polar factor from its d x d Gram only when
+# lam_min > _GRAM_TOL * lam_max, i.e. kappa = sigma_max / sigma_min < 100.
+# The Gram path's error against the SVD grows as about 0.07 eps kappa^2
+# (1.5e-11 measured at kappa = 1e3), so beyond that the SVD is used.
+_GRAM_TOL = 1e-4
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -151,20 +157,47 @@ def polar(x: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _transposed(blocks: np.ndarray) -> np.ndarray:
+    """Blockwise transpose as a contiguous copy: matmul is ~3x slower on the view."""
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
+
+
 def polar_blockwise(stack) -> StiefelStack:
-    """Blockwise polar projection of an (n, d, p) array or stack onto St(d,p)^n."""
+    """Blockwise polar projection of an (n, d, p) array or stack onto St(d,p)^n.
+
+    Each block X is first scaled by a power of two (exact) to a largest entry
+    in [1/2, 1), so its d x d Gram G = X X^T neither overflows nor
+    underflows.  One batched eigh, G = U diag(lam) U^T, gives the polar
+    factor P0 = U diag(lam)^(-1/2) U^T X, and one Newton-Schulz step
+    P = 1.5 P0 - 0.5 (P0 P0^T) P0 brings ||P P^T - I|| back to roundoff
+    (Higham, SIAM J. Sci. Stat. Comput., 1986).  The Gram squares the
+    conditioning, so a block with lam_min <= _GRAM_TOL * lam_max
+    (sigma_max / sigma_min >= 100, rank-deficient blocks included) takes
+    the thin SVD's U V^T instead, and only those blocks are tested against
+    RANK_TOL.  Either way a block agrees with :func:`polar` to about 1e-13.
+    """
     blocks = stack.blocks if isinstance(stack, StiefelStack) else np.asarray(stack, dtype=float)
     _check_shape(blocks)
     if not np.all(np.isfinite(blocks)):
         raise ValueError("polar_blockwise input must be finite")
-    u, s, vt = np.linalg.svd(blocks, full_matrices=False)
-    bad = np.flatnonzero((s[:, 0] == 0.0) | (s[:, -1] <= RANK_TOL * s[:, 0]))
-    for i in bad:
-        warnings.warn(
-            f"polar factor of block {i} is non-unique", RankDeficiencyWarning, stacklevel=2
-        )
-    # U V^T of an SVD is row-orthonormal by construction, so it skips the re-check.
-    return StiefelStack._orthonormal(u @ vt)
+    _, exponent = np.frexp(np.max(np.abs(blocks), axis=(1, 2)))
+    x = np.ldexp(blocks, -exponent[:, None, None])
+    lam, u = np.linalg.eigh(x @ _transposed(x))
+    gram_ok = lam[:, 0] > _GRAM_TOL * lam[:, -1]
+    inv_sqrt = 1.0 / np.sqrt(np.where(gram_ok[:, None], lam, 1.0))
+    p0 = ((u * inv_sqrt[:, None, :]) @ _transposed(u)) @ x
+    out = 1.5 * p0 - 0.5 * ((p0 @ _transposed(p0)) @ p0)
+    ill = np.flatnonzero(~gram_ok)
+    if len(ill):
+        u, s, vt = np.linalg.svd(blocks[ill], full_matrices=False)
+        out[ill] = u @ vt
+        bad = ill[(s[:, 0] == 0.0) | (s[:, -1] <= RANK_TOL * s[:, 0])]
+        for i in bad:
+            warnings.warn(
+                f"polar factor of block {i} is non-unique", RankDeficiencyWarning, stacklevel=2
+            )
+    # Both paths are row-orthonormal to roundoff, so the output skips the re-check.
+    return StiefelStack._orthonormal(out)
 
 
 def align(x, y) -> AlignmentResult:

@@ -119,7 +119,7 @@ class SyntheticInstance:
 
     truth: PointCloud
     rotations: RotationStack  # ground-truth blocks O_i
-    shifts: tuple  # n vectors mu_i in R^d
+    shifts: np.ndarray  # (n, d); row i is the shift mu_i
     sigma: float
     observed: PointCloudSet
     seed: int

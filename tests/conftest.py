@@ -48,6 +48,31 @@ def random_tangent(rng, stack):
     return t - sym @ stack.blocks
 
 
+def loop_instance(model, n, m, d, sigma, with_shifts, seed, haar_rotations):
+    """Per-cloud loop oracle for bench.generate_instance, in its draw order.
+
+    Returns (truth points, rotations, shifts, noise, observed clouds).
+    """
+    rng = np.random.default_rng(seed)
+    if model == "uniform_cube":
+        a = rng.uniform(-1.0, 1.0, size=(d, m))
+    else:
+        a = rng.standard_normal((d, m))
+    if haar_rotations:
+        rots = np.stack([polar(rng.standard_normal((d, d))) for _ in range(n)])
+    else:
+        rots = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    if with_shifts:
+        shifts = [rng.standard_normal(d) for _ in range(n)]
+    else:
+        shifts = [np.zeros(d) for _ in range(n)]
+    noise = rng.standard_normal((n, d, m))
+    observed = np.stack(
+        [rots[i] @ (a - shifts[i][:, None]) + sigma * noise[i] for i in range(n)]
+    )
+    return a, rots, np.stack(shifts), noise, observed
+
+
 def oracle_read(path, kind):
     """Line-by-line reference reader: the value a file holds, as an array.
 

@@ -20,6 +20,7 @@ from gopp.certificate import certify
 from gopp.gpm import GpmConfig, objective, solve
 from gopp.model import build_data_matrix, build_gram
 
+from conftest import loop_instance
 from test_certificate import sign_enumeration_max
 
 
@@ -39,6 +40,24 @@ class TestGenerateInstance:
         assert np.array_equal(a.noise, b.noise)
         for ca, cb in zip(a.observed.clouds, b.observed.clouds):
             assert np.array_equal(ca.points, cb.points)
+
+    @pytest.mark.parametrize("model", CLOUD_MODELS)
+    @pytest.mark.parametrize("with_shifts", [False, True])
+    @pytest.mark.parametrize("haar", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_cloud_loop_bitwise(self, model, with_shifts, haar, seed):
+        inst = generate_instance(
+            model, 30, 7, 3, 0.4, with_shifts=with_shifts, seed=seed, haar_rotations=haar
+        )
+        a, rots, shifts, noise, observed = loop_instance(
+            model, 30, 7, 3, 0.4, with_shifts, seed, haar
+        )
+        assert np.array_equal(inst.truth.points, a)
+        assert np.array_equal(inst.rotations.blocks, rots)
+        assert np.array_equal(inst.shifts, shifts)
+        assert np.array_equal(inst.noise, noise)
+        assert np.array_equal(np.stack([c.points for c in inst.observed.clouds]), observed)
+        assert (inst.sigma, inst.seed, inst.cloud_model) == (0.4, seed, model)
 
     def test_uniform_covariance_is_third_identity(self):
         # Large-sample check of the population covariance I/3.

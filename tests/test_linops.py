@@ -1,4 +1,7 @@
 """Unit tests for the block linear-algebra primitives."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,36 @@ from gopp.linops import (
     top_d_left_singular,
 )
 
-from conftest import dense_gap, partial_trace, random_orthogonal, random_stack
+from conftest import dense_gap, partial_trace, random_orthogonal, random_stack, random_tangent
+
+
+def conditioned_blocks(rng, n, d, p, log_kappa, log_scale=0.0):
+    """n blocks U diag(s) V^T * 10**log_scale, s log-spaced from 1 to 10**-log_kappa."""
+    s = np.logspace(0.0, -log_kappa, d)
+    out = np.empty((n, d, p))
+    for i in range(n):
+        u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((p, d)))[0]
+        out[i] = (u * s) @ v.T
+    return out * 10.0**log_scale
+
+
+def assert_matches_polar(blocks):
+    """polar_blockwise agrees with the per-block SVD oracle, is orthonormal and read-only."""
+    out = polar_blockwise(blocks).blocks
+    assert not out.flags.writeable
+    oracle = np.stack([polar(b) for b in blocks])
+    assert np.max(np.abs(out - oracle)) <= 1e-12
+    d = blocks.shape[1]
+    assert np.max(np.linalg.norm(out @ out.transpose(0, 2, 1) - np.eye(d), axis=(1, 2))) <= 1e-13
+
+
+def rank_warnings(fn, *args):
+    """Messages of the RankDeficiencyWarnings that fn(*args) raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficiencyWarning)
+        fn(*args)
+    return [str(w.message) for w in caught]
 
 
 class TestStiefelStack:
@@ -107,6 +139,62 @@ class TestPolarBlockwise:
         with pytest.raises(ValueError):
             out.blocks[0, 0, 0] = 1.0
         assert np.array_equal(StiefelStack(out.blocks).blocks, out.blocks)
+
+    @pytest.mark.parametrize("d,p", [(1, 1), (1, 4), (2, 2), (3, 3), (3, 7), (4, 6)])
+    @pytest.mark.parametrize("kind", ["gaussian", "solver_like", "near_orthonormal"])
+    def test_matches_polar_oracle(self, rng, kind, d, p):
+        n = 200
+        if kind == "gaussian":
+            blocks = rng.standard_normal((n, d, p))
+        elif kind == "solver_like":
+            # Power-method blocks (C S)_i, close to Lambda_i S_i with Lambda_i
+            # symmetric positive definite (a scaled cloud covariance).
+            a = rng.standard_normal((n, d, d + 2))
+            lam = 25.0 * a @ a.transpose(0, 2, 1)
+            blocks = lam @ random_stack(rng, n, d, p).blocks
+        else:
+            # Retraction inputs S + t xi, xi tangent at S, over many step sizes.
+            s = random_stack(rng, n, d, p)
+            t = 10.0 ** rng.uniform(-10.0, 0.0, size=(n, 1, 1))
+            blocks = s.blocks + t * random_tangent(rng, s)
+        assert_matches_polar(blocks)
+
+    @pytest.mark.parametrize("d,p", [(2, 2), (3, 3), (3, 7)])
+    def test_ill_conditioned_blocks_match_oracle(self, rng, d, p):
+        # kappa from 1e2 to 1e11: past the Gram path's accuracy, on the SVD.
+        blocks = np.concatenate(
+            [conditioned_blocks(rng, 20, d, p, k) for k in (2.0, 3.0, 5.0, 8.0, 11.0)]
+            + [rng.standard_normal((20, d, p))]
+        )
+        assert_matches_polar(blocks[rng.permutation(len(blocks))])
+
+    @pytest.mark.parametrize("d,p", [(1, 1), (2, 3), (3, 3), (3, 7)])
+    def test_rank_deficient_warnings_match_oracle(self, rng, d, p):
+        blocks = rng.standard_normal((12, d, p))
+        blocks[1] = 0.0
+        blocks[4, -1] = 0.0
+        blocks[6] = conditioned_blocks(rng, 1, d, p, 13.0)[0]  # warns for d > 1 only
+        blocks[9] = conditioned_blocks(rng, 1, d, p, 11.0)[0]  # inside RANK_TOL: no warning
+        expected = [i for i in range(len(blocks)) if rank_warnings(polar, blocks[i])]
+        messages = rank_warnings(polar_blockwise, blocks)
+        got = [int(re.search(r"block (\d+)", m).group(1)) for m in messages]
+        assert got == expected
+        assert expected == ([1, 4] if d == 1 else [1, 4, 6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            out = polar_blockwise(blocks).blocks
+            oracle = np.stack([polar(b) for b in blocks])
+        assert np.max(np.abs(out - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("log_scale", [-300.0, -200.0, 200.0, 300.0])
+    def test_extreme_scales(self, rng, log_scale):
+        blocks = rng.standard_normal((12, 3, 4))
+        blocks[::2] *= 10.0**log_scale
+        blocks[3] = conditioned_blocks(rng, 1, 3, 4, 5.0, log_scale)[0]
+        blocks[5, 0] *= 1e4  # one row far from the others: SVD path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_polar(blocks)
 
     @pytest.mark.parametrize("shape", [(2, 3, 2), (0, 2, 2), (2, 2)])
     def test_rejects_bad_shapes(self, shape):
@@ -397,6 +485,21 @@ def test_gram_change_matches_dense_oracle(n, d, p_extra, log_step, seed):
     else:
         assert abs(got - dense) <= 1e-12
     assert gram_change(s.stacked, s.stacked) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=4),
+    p_extra=st.integers(min_value=0, max_value=3),
+    log_kappa=st.floats(min_value=0.0, max_value=11.0),
+    log_scale=st.floats(min_value=-250.0, max_value=250.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_polar_blockwise_matches_oracle(n, d, p_extra, log_kappa, log_scale, seed):
+    # Both sides of the Gram/SVD switch at kappa = 100, at any scale.
+    rng = np.random.default_rng(seed)
+    assert_matches_polar(conditioned_blocks(rng, n, d, d + p_extra, log_kappa, log_scale))
 
 
 @settings(max_examples=100, deadline=None)
