@@ -1,8 +1,9 @@
 """Synthetic instances and the Monte Carlo phase-transition harness.
 
 Each grid cell (n, m, d, sigma) runs a fixed number of trials; a trial
-succeeds exactly when the dual certificate passes (stationarity residual
-below 1e-6 and lambda_{d+1} strictly positive).  Results are deterministic
+succeeds exactly when the solver reports convergence and the dual
+certificate passes: stationarity residual below 1e-6, lambda_{d+1} strictly
+positive and lambda_min >= -1e-6.  Results are deterministic
 given the base seed: per-trial seeds are split by XORing the base with a
 64-bit hash of the cell coordinates and trial index.
 """
@@ -163,7 +164,8 @@ def run_trial(
 ) -> TrialResult:
     """Solve one instance and certify the outcome.
 
-    Solver aborts are recorded as failed trials, never raised.
+    Solver aborts (NumericalError, and LinAlgError from a non-converging
+    eigh or SVD) are recorded as failed trials, never raised.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -191,7 +193,7 @@ def run_trial(
         truth = _truth_stack(instance, report.solution.p)
         df_truth = df(report.solution, truth)
         timeout = report.timed_out
-    except NumericalError:
+    except (NumericalError, np.linalg.LinAlgError):
         converged = certified = False
         iterations = 0
         df_truth = math.nan

@@ -7,16 +7,19 @@ eigenvalues.  Numerically: stationarity residual below stat_tol and the
 (d+1)-th smallest eigenvalue of Lambda - C strictly above psd_tol.
 
 Lambda - C is block diagonal minus D D^T, with D the nd x m factor of C, so
-nothing here forms an nd x nd matrix: the multiplier and the stationarity
-residual cost O(nd m p), and each of the two eigenvalues O(n d^3) once plus
-O(nd m^2 + m^3) per shift of a safeguarded bisection (typically 6 to 15
-shifts).
+nothing here forms an nd x nd matrix.  The multiplier and the stationarity
+residual cost O(nd m p) and are always computed.  Each eigenvalue costs
+O(n d^3) once plus O(nd m^2 + m^3) per shift of a safeguarded bisection
+(typically 6 to 15 shifts, 2 or 3 for lambda_min at a stationary S), and
+is computed only when it is first read: :func:`certify` reads lambda_{d+1}
+only at a stationary S, and lambda_min only when lambda_{d+1} > psd_tol.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +35,34 @@ class Verdict(str, Enum):
 
 @dataclass
 class Certificate:
+    """The certificate of one stack; eigenvalues of Lambda - C are computed on first read.
+
+    The residuals, the asymmetry and the verdict are set by :func:`certify`.
+    lambda_d_plus_1, lambda_min (smallest eigenvalue of Lambda - C, the PSD
+    check) and min_block_eig are cached properties over the symmetrized
+    blocks and the factor D, so a value that nothing reads costs nothing;
+    the eigenvalue searches are most of the certificate's cost.
+    """
+
     lambda_blocks: np.ndarray  # (n, d, d), symmetrized
+    factor: np.ndarray = field(repr=False)  # nd x m factor D of C
     stationarity_residual: float  # ||(Lambda - C) S|| (operator norm)
     stationarity_residual_fro: float
-    lambda_d_plus_1: float
-    lambda_min: float  # smallest eigenvalue of Lambda - C (PSD check)
-    min_block_eig: float
     asymmetry: float  # max_i ||raw Lambda_ii - Lambda_ii^T||_F
     verdict: Verdict
+
+    @cached_property
+    def lambda_d_plus_1(self) -> float:
+        d = self.lambda_blocks.shape[1]
+        return lambda_kth_smallest(self.lambda_blocks, self.factor, d + 1)
+
+    @cached_property
+    def lambda_min(self) -> float:
+        return lambda_kth_smallest(self.lambda_blocks, self.factor, 1)
+
+    @cached_property
+    def min_block_eig(self) -> float:
+        return float(np.min(np.linalg.eigvalsh(self.lambda_blocks)[:, 0]))
 
     @property
     def certified(self) -> bool:
@@ -91,30 +114,24 @@ def certify(
     residual_mat = (blocks @ s.blocks).reshape(n * d, s.p) - c @ s.stacked
     residual = float(np.linalg.norm(residual_mat, 2))
     residual_fro = float(np.linalg.norm(residual_mat))
-    # Eigenvalues of Lambda - C = blockdiag(Lambda_ii) - D D^T, from the factor.
-    lam_d1 = lambda_kth_smallest(blocks, c.factor, d + 1)
-    lam_min = lambda_kth_smallest(blocks, c.factor, 1)
-    min_block_eig = float(np.min(np.linalg.eigvalsh(blocks)[:, 0]))
-    if residual >= stat_tol:
-        verdict = Verdict.NOT_STATIONARY
-    elif lam_d1 > psd_tol and lam_min >= -stat_tol:
-        # PSD up to the residual-sized slack on the d null directions, plus a
-        # strict gap: the matrix certifies a unique rank-d global maximizer.
-        # Checking lam_d1 alone is not enough; a spurious critical point can
-        # hide a negative eigenvalue below the null space.
-        verdict = Verdict.CERTIFIED_UNIQUE_GLOBAL
-    else:
-        verdict = Verdict.STATIONARY_NOT_CERTIFIED
-    return Certificate(
+    cert = Certificate(
         lambda_blocks=blocks,
+        factor=c.factor,
         stationarity_residual=residual,
         stationarity_residual_fro=residual_fro,
-        lambda_d_plus_1=lam_d1,
-        lambda_min=lam_min,
-        min_block_eig=min_block_eig,
         asymmetry=asymmetry,
-        verdict=verdict,
+        verdict=Verdict.NOT_STATIONARY,
     )
+    if residual < stat_tol:
+        # PSD up to the residual-sized slack on the d null directions, plus a
+        # strict gap: the matrix certifies a unique rank-d global maximizer.
+        # Checking lambda_{d+1} alone is not enough; a spurious critical point
+        # can hide a negative eigenvalue below the null space.
+        if cert.lambda_d_plus_1 > psd_tol and cert.lambda_min >= -stat_tol:
+            cert.verdict = Verdict.CERTIFIED_UNIQUE_GLOBAL
+        else:
+            cert.verdict = Verdict.STATIONARY_NOT_CERTIFIED
+    return cert
 
 
 @dataclass

@@ -85,7 +85,9 @@ class PointCloudSet:
             cloud = object.__new__(PointCloud)  # checked above as part of pts
             object.__setattr__(cloud, "points", view)
             clouds.append(cloud)
-        cloud_set = cls(tuple(clouds))
+        # The views share one shape, so the set skips __post_init__'s re-check.
+        cloud_set = object.__new__(cls)
+        object.__setattr__(cloud_set, "clouds", tuple(clouds))
         cloud_set.__dict__["points"] = pts
         return cloud_set
 

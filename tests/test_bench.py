@@ -136,6 +136,18 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="method"):
             run_trial(inst, method="newton")
 
+    @pytest.mark.parametrize("layer", ["solve", "certify"])
+    def test_linalg_error_is_a_failed_trial(self, monkeypatch, layer):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(f"gopp.bench.{layer}", diverge)
+        inst = generate_instance("uniform_cube", 6, 8, 2, 0.1, seed=6)
+        result = run_trial(inst, method="gpm_random")
+        assert not result.certified and not result.gpm_converged
+        assert result.iterations == 0
+        assert math.isnan(result.df_to_truth)
+
 
 class TestTrialSeed:
     def test_deterministic(self):

@@ -149,6 +149,101 @@ class TestCertify:
         assert len(doc["lambda_blocks"]) == 5
 
 
+def solved_certified():
+    inst = generate_instance("uniform_cube", 20, 12, 3, 0.3, seed=8)
+    gram = build_gram(inst.observed, center_first=False)
+    return gram, solve(gram, GpmConfig(init="random", seed=8, tol=1e-10)).solution
+
+
+def opposed_stack(n, d):
+    """Half the blocks I, half -I.
+
+    A noiseless C has C S = 0 there: a stationary point at which
+    Lambda - C = -C is not PSD.
+    """
+    blocks = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    blocks[n // 2 :] *= -1.0
+    return StiefelStack(blocks)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The k of every lambda_kth_smallest call that certify's module makes, in order."""
+    calls = []
+
+    def counted(blocks, factor, k):
+        calls.append(k)
+        return lambda_kth_smallest(blocks, factor, k)
+
+    monkeypatch.setattr("gopp.certificate.lambda_kth_smallest", counted)
+    return calls
+
+
+class TestLazyEigenvalues:
+    def test_not_stationary_reads_no_eigenvalue(self, rng, searches):
+        inst = generate_instance("uniform_cube", 8, 10, 3, 0.3, seed=3)
+        gram = build_gram(inst.observed, center_first=False)
+        cert = certify(gram, random_stack(rng, 8, 3))
+        assert cert.verdict is Verdict.NOT_STATIONARY
+        assert searches == []
+        reads = [("lambda_d_plus_1", [4]), ("lambda_min", [4, 1]), ("min_block_eig", [4, 1])]
+        for name, calls in reads:
+            assert name not in vars(cert)
+            first = getattr(cert, name)
+            assert getattr(cert, name) == first and vars(cert)[name] == first
+            assert searches == calls
+
+    def test_gap_below_psd_tol_skips_lambda_min(self, searches):
+        gram, s = solved_certified()
+        cert = certify(gram, s, psd_tol=1e300)
+        assert cert.verdict is Verdict.STATIONARY_NOT_CERTIFIED
+        assert searches == [4]
+        assert "lambda_min" not in vars(cert)
+
+    def test_certified_searches_d_plus_1_then_min(self, searches):
+        gram, s = solved_certified()
+        cert = certify(gram, s)
+        assert cert.verdict is Verdict.CERTIFIED_UNIQUE_GLOBAL
+        assert searches == [4, 1]
+        cert.to_json_dict()
+        assert searches == [4, 1]
+
+    @pytest.mark.parametrize(
+        "case, verdict",
+        [
+            ("random", Verdict.NOT_STATIONARY),
+            ("opposed", Verdict.STATIONARY_NOT_CERTIFIED),
+            ("solved", Verdict.CERTIFIED_UNIQUE_GLOBAL),
+        ],
+    )
+    def test_json_matches_dense_oracle(self, rng, case, verdict):
+        if case == "solved":
+            gram, s = solved_certified()
+        else:
+            sigma = 0.3 if case == "random" else 0.0
+            inst = generate_instance("uniform_cube", 10, 12, 3, sigma, seed=9)
+            gram = build_gram(inst.observed, center_first=False)
+            s = random_stack(rng, 10, 3) if case == "random" else opposed_stack(10, 3)
+        doc = certify(gram, s).to_json_dict()
+        want, blocks, eigs, residual = dense_certify(gram, s)
+        assert want is verdict and doc["verdict"] == verdict.value
+        n, d = gram.n, gram.d
+        raw = (gram.data @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
+        block_eigs = np.linalg.eigvalsh(blocks)
+        scale = np.max(np.abs(block_eigs)) + gram.spectral_norm()
+        gap_s = dense_gap(blocks, gram.factor) @ s.stacked
+        assert doc["stationarity_residual"] == pytest.approx(residual, rel=1e-9, abs=1e-12 * scale)
+        assert doc["stationarity_residual_fro"] == pytest.approx(
+            np.linalg.norm(gap_s), rel=1e-9, abs=1e-12 * scale
+        )
+        assert abs(doc["lambda_d_plus_1"] - eigs[d]) <= 1e-11 * scale
+        assert abs(doc["lambda_min"] - eigs[0]) <= 1e-11 * scale
+        assert abs(doc["min_block_eig"] - np.min(block_eigs)) <= 1e-11 * scale
+        asym = np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))
+        assert doc["asymmetry"] == pytest.approx(asym, abs=1e-12 * scale)
+        assert np.allclose(doc["lambda_blocks"], blocks.reshape(n, -1), rtol=0, atol=1e-12 * scale)
+
+
 class TestSnrCheck:
     def test_noiseless_satisfies_both(self):
         inst = generate_instance("uniform_cube", 6, 9, 2, 0.0, seed=5)

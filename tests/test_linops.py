@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gopp import linops
+from gopp.bench import generate_instance
+from gopp.certificate import certify
+from gopp.gpm import GpmConfig, solve
 from gopp.linops import (
     AlignmentResult,
     RankDeficiencyWarning,
@@ -21,6 +25,7 @@ from gopp.linops import (
     polar_blockwise,
     top_d_left_singular,
 )
+from gopp.model import build_gram
 
 from conftest import dense_gap, partial_trace, random_orthogonal, random_stack, random_tangent
 
@@ -377,6 +382,27 @@ class TestLambdaKthSmallest:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             for k in range(1, n * d + 1):
                 assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-11 * scale
+
+
+    def test_lambda_min_at_a_certified_stack_starts_at_zero(self, monkeypatch):
+        # At a stationary stack Lambda - C has d eigenvalues within roundoff
+        # of 0, so the search for lambda_1 that starts at 0 closes in a few
+        # Schur counts instead of the 7 to 9 of a search from the midpoint.
+        inst = generate_instance("uniform_cube", 100, 25, 3, 0.4, seed=1)
+        gram = build_gram(inst.observed, center_first=False)
+        cert = certify(gram, solve(gram, GpmConfig(init="random", seed=1)).solution)
+        assert cert.certified
+        counts = []
+        schur_count = linops._schur_count
+
+        def counted(mu, e, norms, exact, t, k):
+            counts.append(t)
+            return schur_count(mu, e, norms, exact, t, k)
+
+        monkeypatch.setattr(linops, "_schur_count", counted)
+        lam_min = lambda_kth_smallest(cert.lambda_blocks, gram.factor, 1)
+        assert 1 <= len(counts) <= 3 and counts[0] == 0.0
+        assert lam_min == pytest.approx(cert.lambda_min, abs=1e-11 * gram.spectral_norm())
 
 
 class TestTopDLeftSingular:

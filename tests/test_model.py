@@ -463,8 +463,10 @@ class TestFromArray:
         pts = rng.standard_normal((3, 2, 5))
         clouds = PointCloudSet.from_array(pts)
         assert clouds.points.shape == (3, 2, 5) and not clouds.points.flags.writeable
+        assert isinstance(clouds.clouds, tuple) and (clouds.n, clouds.d, clouds.m) == (3, 2, 5)
         for i, c in enumerate(clouds.clouds):
             assert np.shares_memory(c.points, clouds.points)
+            assert not c.points.flags.writeable
             assert np.array_equal(c.points, pts[i])
 
     @pytest.mark.parametrize(
