@@ -22,7 +22,6 @@ from .model import (
     SyntheticInstance,
     build_data_matrix,
     build_gram,
-    center,
     estimate_shifts,
 )
 from .gpm import (
@@ -39,11 +38,9 @@ from .certificate import Certificate, SnrCheck, Verdict, build_lambda, certify, 
 from .bm import (
     BmConfig,
     LandscapeReport,
-    SecondOrderResult,
     landscape_bounds,
     retract,
     riemannian_gradient,
-    second_order_residual,
     solve_bm,
 )
 from .bench import (

@@ -155,6 +155,13 @@ def _truth_stack(instance: SyntheticInstance, p: int) -> StiefelStack:
     return StiefelStack(padded)
 
 
+def _check_method(method: str, p: int | None) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
+    if p is not None and method != "bm":
+        raise ValueError(f"p={p} applies only to method 'bm', not {method!r}")
+
+
 def run_trial(
     instance: SyntheticInstance,
     method: str = "gpm_random",
@@ -167,8 +174,7 @@ def run_trial(
     Solver aborts (NumericalError, and LinAlgError from a non-converging
     eigh or SVD) are recorded as failed trials, never raised.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    _check_method(method, p)
     seed = instance.seed if seed is None else seed
     has_shifts = bool(np.any(instance.shifts))
     gram = build_gram(instance.observed, center_first=has_shifts)
@@ -255,8 +261,7 @@ def phase_diagram(
     workers: int = 1,
 ) -> list[CellSummary]:
     """One summary row per (n, m, sigma) cell, in deterministic grid order."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    _check_method(method, p)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [

@@ -4,8 +4,8 @@ Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction:
 alternating Barzilai-Borwein trial steps, a grow rule where they are
 undefined, and Armijo backtracking as the safeguard.  At p = d this is the
 original orthogonal-block problem; at p = nd it attains the convex
-relaxation's value.  Includes sampled second-order criticality
-residuals and the deterministic landscape bounds for synthetic instances.
+relaxation's value.  Also evaluates the deterministic landscape bounds for
+synthetic instances.
 C enters only through ``c @ S`` and its norms, never as a dense nd x nd matrix.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import build_lambda
 from .gpm import NumericalError, SolveReport, check_time_limit, objective, random_init
 from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from .model import GramMatrix, SyntheticInstance
@@ -176,88 +175,6 @@ def solve_bm(
         objective_history=objective_history,
         converged=converged,
         timed_out=timed_out,
-    )
-
-
-@dataclass
-class SecondOrderResult:
-    """Sampled second-order criticality residual at a first-order critical point.
-
-    residual is the minimum of the sampled curvature form
-    sum_i <Lambda_ii, T_i T_i^T> - sum_ij <C_ij, T_i T_j^T> over unit tangent
-    stacks T, combined with min_i lambda_min(Lambda_ii) (the multiplier PSD
-    part of the second-order condition; it is the only nontrivial part when
-    the tangent space is zero-dimensional, e.g. d = p = 1).  A markedly
-    negative residual witnesses an escape direction.
-    """
-
-    residual: float
-    sampled_min: float
-    min_block_eig: float
-    escape_tangent: np.ndarray | None  # (n, d, p) tangent stack, if sampled min won
-    escape_block: int | None  # block whose Lambda_ii eigenvalue won otherwise
-    escape_vector: np.ndarray | None
-
-
-def second_order_residual(
-    c: GramMatrix,
-    s: StiefelStack,
-    trials: int = 100,
-    seed: int = 0,
-    weight: np.ndarray | None = None,
-) -> SecondOrderResult:
-    """Monte Carlo probe of the second-order condition at S.
-
-    Tangent stacks are tangent-projected i.i.d. normal blocks, optionally
-    left-multiplied by a d x d weight (the synthetic-mode Pi^{-1/2}
-    construction).  S must be first-order critical.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    grad = riemannian_gradient(c, s)
-    if np.linalg.norm(grad) > 1e-6 * c.fro_norm():
-        raise ValueError("S is not first-order critical; second-order probe undefined")
-    raw = build_lambda(c, s)
-    lam = 0.5 * (raw + raw.transpose(0, 2, 1))
-    rng = np.random.default_rng(seed)
-    sampled_min = math.inf
-    best_tangent = None
-    for _ in range(trials):
-        t = rng.standard_normal((s.n, s.d, s.p))
-        if weight is not None:
-            t = weight @ t
-        t = tangent_project_stack(s, t)
-        nrm = np.linalg.norm(t)
-        if nrm == 0.0:
-            val = 0.0
-        else:
-            t = t / nrm
-            ts = t.reshape(s.n * s.d, s.p)
-            lam_term = float(np.einsum("iab,iac,ibc->", lam, t, t))
-            c_term = float(np.sum((c @ ts) * ts))
-            val = lam_term - c_term
-        if val < sampled_min:
-            sampled_min = val
-            best_tangent = t
-    block_vals, block_vecs = np.linalg.eigh(lam)
-    min_idx = int(np.argmin(block_vals[:, 0]))
-    min_block_eig = float(block_vals[min_idx, 0])
-    if sampled_min <= min_block_eig:
-        return SecondOrderResult(
-            residual=sampled_min,
-            sampled_min=sampled_min,
-            min_block_eig=min_block_eig,
-            escape_tangent=best_tangent,
-            escape_block=None,
-            escape_vector=None,
-        )
-    return SecondOrderResult(
-        residual=min_block_eig,
-        sampled_min=sampled_min,
-        min_block_eig=min_block_eig,
-        escape_tangent=None,
-        escape_block=min_idx,
-        escape_vector=block_vecs[min_idx, :, 0],
     )
 
 

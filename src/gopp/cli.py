@@ -94,6 +94,14 @@ def _config_value(action: argparse.Action, value: str):
     return value
 
 
+def _list_of(kind):
+    """An argparse type: comma-separated values, each converted by `kind`, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
+    return parse
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file; flags override it")
 
@@ -148,10 +156,10 @@ def build_parser() -> _Parser:
     ph = sub.add_parser("phase", help="Monte Carlo phase-transition grid")
     ph.add_argument("--model", choices=CLOUD_MODELS, default="uniform_cube")
     ph.add_argument("--d", type=int, default=3)
-    ph.add_argument("--m", type=str, default="25", help="comma-separated m values")
-    ph.add_argument("--n", type=str, default="100", help="comma-separated n values")
+    ph.add_argument("--m", type=_list_of(int), default="25", help="comma-separated m values")
+    ph.add_argument("--n", type=_list_of(int), default="100", help="comma-separated n values")
     ph.add_argument(
-        "--sigmas", type=str, default="0.2,0.4,0.6,0.8,1.0,1.2,1.4",
+        "--sigmas", type=_list_of(float), default="0.2,0.4,0.6,0.8,1.0,1.2,1.4",
         help="comma-separated noise levels",
     )
     ph.add_argument("--trials", type=int, default=20)
@@ -223,12 +231,14 @@ def _cmd_bm(args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    if args.p is not None and args.method != "bm":
+        raise ValueError(f"--p applies only to --method bm, not {args.method}")
     grid = PhaseGrid(
         cloud_model=args.model,
         d=args.d,
-        m_list=tuple(int(v) for v in args.m.split(",")),
-        n_list=tuple(int(v) for v in args.n.split(",")),
-        sigma_list=tuple(float(v) for v in args.sigmas.split(",")),
+        m_list=args.m,
+        n_list=args.n,
+        sigma_list=args.sigmas,
         trials_per_cell=args.trials,
         base_seed=args.seed,
         time_limit_s=args.time_limit,

@@ -170,19 +170,6 @@ class GramMatrix:
         """C x = D (D^T x) for an nd x p matrix x."""
         return self.factor @ (self.factor.T @ x)
 
-    @property
-    def data(self) -> np.ndarray:
-        """The dense nd x nd matrix C, rebuilt on every access.
-
-        O((nd)^2) memory.  It exists for test oracles only: nothing in the
-        package reads it.
-        """
-        return self.factor @ self.factor.T
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.factor[i * d : (i + 1) * d] @ self.factor[j * d : (j + 1) * d].T
-
     def fro_norm(self) -> float:
         """||C||_F = ||D^T D||_F."""
         return float(np.linalg.norm(self.factor.T @ self.factor))
@@ -190,12 +177,6 @@ class GramMatrix:
     def spectral_norm(self) -> float:
         """||C||_2 = sigma_max(D)^2."""
         return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
-
-
-def center(cloud: PointCloud) -> PointCloud:
-    """Remove the per-coordinate column mean: right-multiply by I - (1/m) 11^T."""
-    pts = cloud.points
-    return PointCloud(pts - pts.mean(axis=1, keepdims=True))
 
 
 def estimate_shifts(clouds: PointCloudSet, rotations: RotationStack) -> list[np.ndarray]:
@@ -233,7 +214,7 @@ def build_gram(clouds: PointCloudSet, center_first: bool = True) -> GramMatrix:
     """
     pts = clouds.points
     if center_first:
-        pts = pts - pts.mean(axis=2, keepdims=True)  # what center() does, for all clouds at once
+        pts = pts - pts.mean(axis=2, keepdims=True)  # each cloud times I - (1/m) 11^T
     return GramMatrix(factor=pts.reshape(clouds.n * clouds.d, clouds.m), n=clouds.n, d=clouds.d)
 
 

@@ -25,6 +25,23 @@ def dense_gap(blocks, factor):
     return mat
 
 
+def dense_gram(c):
+    """The dense oracle C = D D^T of a GramMatrix, O((nd)^2) memory."""
+    return c.factor @ c.factor.T
+
+
+def gram_block(c, i, j):
+    """The d x d block C_ij = D_i D_j^T of a GramMatrix."""
+    d = c.d
+    return c.factor[i * d : (i + 1) * d] @ c.factor[j * d : (j + 1) * d].T
+
+
+def center(cloud):
+    """The cloud with its column mean removed: points times I - (1/m) 11^T."""
+    pts = cloud.points
+    return PointCloud(pts - pts.mean(axis=1, keepdims=True))
+
+
 def partial_trace(m, w):
     """Weighted partial trace of an nd x nd block matrix: out[i, j] = Tr(W M_ij).
 

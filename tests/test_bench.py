@@ -20,7 +20,7 @@ from gopp.certificate import certify
 from gopp.gpm import GpmConfig, objective, solve
 from gopp.model import build_data_matrix, build_gram
 
-from conftest import loop_instance
+from conftest import dense_gram, loop_instance
 from test_certificate import sign_enumeration_max
 
 
@@ -122,7 +122,7 @@ class TestRunTrial:
                     d_for_init=build_data_matrix(inst.observed),
                 )
                 val = objective(gram, report.solution)
-                best = sign_enumeration_max(gram.data)
+                best = sign_enumeration_max(dense_gram(gram))
                 assert val >= best - 1e-8 * max(1.0, abs(best))
 
     def test_bm_method_runs(self):
@@ -135,6 +135,12 @@ class TestRunTrial:
         inst = generate_instance("uniform_cube", 6, 8, 2, 0.1, seed=6)
         with pytest.raises(ValueError, match="method"):
             run_trial(inst, method="newton")
+
+    @pytest.mark.parametrize("method", ["gpm_random", "gpm_spectral"])
+    def test_p_only_for_bm(self, method):
+        inst = generate_instance("uniform_cube", 6, 8, 2, 0.1, seed=6)
+        with pytest.raises(ValueError, match="only to method 'bm'"):
+            run_trial(inst, method=method, p=7)
 
     @pytest.mark.parametrize("layer", ["solve", "certify"])
     def test_linalg_error_is_a_failed_trial(self, monkeypatch, layer):
@@ -220,6 +226,14 @@ class TestPhaseDiagram:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             phase_diagram(self.small_grid((0.1,)), method="other")
+
+    def test_rejects_p_without_bm_before_any_trial(self, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("gopp.bench.run_trial", no_trial)
+        with pytest.raises(ValueError, match="only to method 'bm'"):
+            phase_diagram(self.small_grid((0.1,)), method="gpm_random", p=7)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_nonpositive_workers(self, workers):

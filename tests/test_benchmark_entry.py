@@ -1,0 +1,46 @@
+"""The benchmark's entry point runs every workload end to end on the current sources.
+
+Each workload's set-up calls the package the way the benchmark does, so a
+renamed or removed name it needs fails here and not only in a benchmark run.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("solve_n1000", "phase_n100", "bm_p7")
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """{workload: (exit code, stdout, stderr)} of one short run of each, all started at once."""
+    procs = {
+        w: subprocess.Popen(
+            [sys.executable, "benchmark/run.py", "--workload", w, "--seed", "1",
+             "--seconds", "0.2", "--trace", "0"],
+            cwd=ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for w in WORKLOADS
+    }
+    try:
+        outputs = {w: p.communicate(timeout=120) for w, p in procs.items()}
+        return {w: (procs[w].returncode, *outputs[w]) for w in WORKLOADS}
+    finally:
+        for p in procs.values():
+            p.kill()
+            p.wait()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_correct(runs, workload):
+    code, out, err = runs[workload]
+    assert code == 0, err
+    result = json.loads(out.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -12,7 +12,7 @@ from gopp.gpm import GpmConfig, objective, solve
 from gopp.linops import StiefelStack, lambda_kth_smallest
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import dense_gap, random_stack
+from conftest import dense_gap, dense_gram, random_stack
 
 
 def sign_enumeration_max(c_data):
@@ -31,7 +31,7 @@ def dense_certify(gram, s):
     Returns the verdict, the symmetrized blocks, the spectrum and the residual.
     """
     n, d = gram.n, gram.d
-    raw = (gram.data @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
+    raw = (dense_gram(gram) @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
     blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
     gap = dense_gap(blocks, gram.factor)
     eigs = np.linalg.eigvalsh(gap)
@@ -61,7 +61,7 @@ class TestBuildLambda:
         gram = GramMatrix(factor=a, n=1, d=2)
         s = random_stack(rng, 1, 2)
         lam = build_lambda(gram, s)
-        assert np.allclose(lam[0], gram.data @ s.blocks[0] @ s.blocks[0].T, atol=1e-12)
+        assert np.allclose(lam[0], dense_gram(gram) @ s.blocks[0] @ s.blocks[0].T, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         a = rng.standard_normal((2, 5))
@@ -89,7 +89,7 @@ class TestCertify:
         z = StiefelStack.identity(8, 3)
         cert = certify(gram, z)
         assert cert.verdict is Verdict.CERTIFIED_UNIQUE_GLOBAL
-        assert cert.stationarity_residual <= 1e-10 * np.linalg.norm(gram.data, 2)
+        assert cert.stationarity_residual <= 1e-10 * np.linalg.norm(dense_gram(gram), 2)
         sigma_min = np.linalg.svd(inst.truth.points, compute_uv=False)[-1]
         closed_form = 8 * sigma_min**2
         assert abs(cert.lambda_d_plus_1 - closed_form) <= 1e-6 * closed_form
@@ -135,7 +135,7 @@ class TestCertify:
             cert = certify(gram, report.solution)
             if cert.certified:
                 val = objective(gram, report.solution)
-                best = sign_enumeration_max(gram.data)
+                best = sign_enumeration_max(dense_gram(gram))
                 assert val >= best - 1e-8 * max(1.0, abs(best))
                 checked += 1
         assert checked >= 50  # the oracle must actually exercise certified cases
@@ -164,6 +164,25 @@ def opposed_stack(n, d):
     blocks = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     blocks[n // 2 :] *= -1.0
     return StiefelStack(blocks)
+
+
+def sign_saddle(d):
+    """A stationary, uncertified stack on three equal clouds: its middle block is flipped.
+
+    At d = 1, (+, -, +) on C = 11^T.  At d = 2, C_ij = diag(1, 4) and
+    S = (I, diag(1, -1), I), where Lambda_22 = diag(3, -4).
+    """
+    if d == 1:
+        gram = GramMatrix(factor=np.ones((3, 1)), n=3, d=1)
+        s = StiefelStack(np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1))
+    else:
+        gram = GramMatrix(factor=np.tile(np.diag([1.0, 2.0]), (3, 1)), n=3, d=2)
+        s = StiefelStack(np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)]))
+    return gram, s
+
+
+# (lambda_min, min_block_eig) of each sign saddle.
+SIGN_SADDLE_EIGS = {"sign_saddle_d1": (-3.0, -1.0), "sign_saddle_d2": (-12.0, -4.0)}
 
 
 @pytest.fixture
@@ -214,11 +233,15 @@ class TestLazyEigenvalues:
             ("random", Verdict.NOT_STATIONARY),
             ("opposed", Verdict.STATIONARY_NOT_CERTIFIED),
             ("solved", Verdict.CERTIFIED_UNIQUE_GLOBAL),
+            ("sign_saddle_d1", Verdict.STATIONARY_NOT_CERTIFIED),
+            ("sign_saddle_d2", Verdict.STATIONARY_NOT_CERTIFIED),
         ],
     )
     def test_json_matches_dense_oracle(self, rng, case, verdict):
         if case == "solved":
             gram, s = solved_certified()
+        elif case in SIGN_SADDLE_EIGS:
+            gram, s = sign_saddle(int(case[-1]))
         else:
             sigma = 0.3 if case == "random" else 0.0
             inst = generate_instance("uniform_cube", 10, 12, 3, sigma, seed=9)
@@ -228,7 +251,7 @@ class TestLazyEigenvalues:
         want, blocks, eigs, residual = dense_certify(gram, s)
         assert want is verdict and doc["verdict"] == verdict.value
         n, d = gram.n, gram.d
-        raw = (gram.data @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
+        raw = (dense_gram(gram) @ s.stacked).reshape(n, d, s.p) @ s.blocks.transpose(0, 2, 1)
         block_eigs = np.linalg.eigvalsh(blocks)
         scale = np.max(np.abs(block_eigs)) + gram.spectral_norm()
         gap_s = dense_gap(blocks, gram.factor) @ s.stacked
@@ -242,6 +265,11 @@ class TestLazyEigenvalues:
         asym = np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))
         assert doc["asymmetry"] == pytest.approx(asym, abs=1e-12 * scale)
         assert np.allclose(doc["lambda_blocks"], blocks.reshape(n, -1), rtol=0, atol=1e-12 * scale)
+        if case in SIGN_SADDLE_EIGS:
+            assert doc["stationarity_residual"] == 0.0
+            want_min, want_block = SIGN_SADDLE_EIGS[case]
+            assert doc["lambda_min"] == pytest.approx(want_min, rel=0, abs=1e-12 * scale)
+            assert doc["min_block_eig"] == pytest.approx(want_block, rel=0, abs=1e-12 * scale)
 
 
 class TestSnrCheck:

@@ -2,6 +2,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import gopp.gpm
 from gopp.bench import generate_instance, run_trial
 from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
 from gopp.linops import StiefelStack
-from gopp.model import GramMatrix
 
 from conftest import random_stack
 
@@ -228,6 +228,51 @@ class TestPhase:
         assert "time_limit_s must be None or positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_p_with_a_method_other_than_bm_rejected(self, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.0",
+             "--trials", "1", "--method", "gpm_random", "--p", "7", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "--p" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value", [("--m", "8,"), ("--n", "6,x"), ("--sigmas", "0.1,,0.2")]
+    )
+    def test_bad_list_names_option(self, tmp_path, capsys, option, value):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.0",
+             "--trials", "1", option, value, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and repr(value) in err
+        assert not out.exists()
+
+    def test_bad_list_in_config_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "phase.cfg"
+        cfg.write_text("n=6\nm=8,\n")
+        out = tmp_path / "phase.csv"
+        assert run_cli(["phase", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 2: --m" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_lists_from_config_match_flags(self, tmp_path):
+        cfg = tmp_path / "phase.cfg"
+        cfg.write_text("n=6\nm=8,9\nsigmas=0.0,0.1\n")
+        grid = ["--d", "2", "--trials", "1"]
+        paths = [tmp_path / "config.csv", tmp_path / "flag.csv"]
+        assert run_cli(["phase", "--config", str(cfg), *grid, "--out", str(paths[0])]) == EXIT_OK
+        flags = ["--n", "6", "--m", "8,9", "--sigmas", "0.0,0.1"]
+        assert run_cli(["phase", *flags, *grid, "--out", str(paths[1])]) == EXIT_OK
+        assert paths[0].read_text() == paths[1].read_text()
+        assert len(paths[0].read_text().splitlines()) == 5
+
 
 class TestChoices:
     def test_choice_lists_are_the_library_tuples(self):
@@ -352,23 +397,28 @@ class TestStackFile:
                 read_stack(path)
 
 
-def test_no_dense_gram_outside_test_oracles(cloud_set_file, tmp_path, monkeypatch):
+def test_no_dense_gram_outside_test_oracles(tmp_path):
     # The dense nd x nd C exists for test oracles only: every command and a
-    # phase trial of each method must run without it.
-    def dense(self):
-        raise AssertionError("the dense nd x nd Gram matrix was built")
-
-    monkeypatch.setattr(GramMatrix, "data", property(dense))
-    stack = tmp_path / "stack.txt"
-    write_stack(stack, StiefelStack.identity(6, 2))
-    for args in (
-        ["solve", str(cloud_set_file)],
-        ["certify", str(cloud_set_file), str(stack)],
-        ["bm", str(cloud_set_file), "--max-iter", "50"],
-    ):
-        out = tmp_path / f"{args[0]}.json"
-        assert run_cli([*args, "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())
-    inst = generate_instance("uniform_cube", 8, 10, 2, 0.2, seed=1)
-    for method in ("gpm_random", "gpm_spectral", "bm"):
-        assert run_trial(inst, method=method).iterations > 0
+    # phase trial of each method must run in a quarter of its memory.
+    n, d, m = 400, 3, 10
+    clouds, stack = tmp_path / "set.txt", tmp_path / "stack.txt"
+    args = ["--n", str(n), "--d", str(d), "--m", str(m), "--sigma", "0.2", "--seed", "1"]
+    assert run_cli(["generate", *args, "--out", str(clouds)]) == EXIT_OK
+    write_stack(stack, StiefelStack.identity(n, d))
+    inst = generate_instance("uniform_cube", n, m, d, 0.2, seed=1)
+    tracemalloc.start()
+    try:
+        for args in (
+            ["solve", str(clouds)],
+            ["certify", str(clouds), str(stack)],
+            ["bm", str(clouds), "--max-iter", "50"],
+        ):
+            out = tmp_path / f"{args[0]}.json"
+            assert run_cli([*args, "--out", str(out)]) == EXIT_OK
+            assert json.loads(out.read_text())
+        for method in ("gpm_random", "gpm_spectral", "bm"):
+            assert run_trial(inst, method=method).iterations > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n * d) ** 2 * 8 / 4

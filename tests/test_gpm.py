@@ -20,7 +20,7 @@ from gopp.gpm import (
 from gopp.linops import StiefelStack, df, polar
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import random_stack
+from conftest import gram_block, random_stack
 
 
 def noiseless_setup(n=12, d=3, m=10, seed=0, model="uniform_cube"):
@@ -113,7 +113,7 @@ class TestGpmStep:
         s = random_stack(rng, 5, 2)
         out = gpm_step(gram, s)
         for i in range(5):
-            acc = sum(gram.block(i, j) @ s.blocks[j] for j in range(5))
+            acc = sum(gram_block(gram, i, j) @ s.blocks[j] for j in range(5))
             assert np.allclose(out.blocks[i], polar(acc), atol=1e-12)
 
 
