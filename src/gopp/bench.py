@@ -10,6 +10,7 @@ given the base seed: per-trial seeds are split by XORing the base with a
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,14 @@ METHODS = ("gpm_spectral", "gpm_random", "bm")
 PHASE_CSV_HEADER = "model,n,m,d,sigma,trials,successes,mean_iters,mean_df_truth,timeouts"
 
 
+def _check_cell(n: int, m: int, d: int, sigma: float) -> None:
+    """An instance's shape and noise level: d >= 1, m >= d + 1, n >= 2, finite sigma >= 0."""
+    if d < 1 or m < d + 1 or n < 2:
+        raise ValueError(f"need d >= 1, m >= d+1 and n >= 2 clouds, got d={d}, m={m}, n={n}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     cloud_model: str = "uniform_cube"
@@ -52,6 +61,8 @@ class PhaseGrid:
             raise ValueError(f"cloud_model must be one of {CLOUD_MODELS}")
         if not (self.m_list and self.n_list and self.sigma_list):
             raise ValueError("m_list, n_list, sigma_list must be non-empty")
+        for n, m, sigma in itertools.product(self.n_list, self.m_list, self.sigma_list):
+            _check_cell(n, m, self.d, sigma)
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         check_time_limit(self.time_limit_s)
@@ -115,12 +126,7 @@ def generate_instance(
     """
     if model not in CLOUD_MODELS:
         raise ValueError(f"model must be one of {CLOUD_MODELS}")
-    if m < d + 1:
-        raise ValueError(f"need m >= d+1, got m={m}, d={d}")
-    if n < 2:
-        raise ValueError("need n >= 2 clouds")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_cell(n, m, d, sigma)
     rng = np.random.default_rng(seed)
     if model == "uniform_cube":
         a = rng.uniform(-1.0, 1.0, size=(d, m))

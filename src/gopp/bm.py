@@ -6,7 +6,7 @@ undefined, and Armijo backtracking as the safeguard.  At p = d this is the
 original orthogonal-block problem; at p = nd it attains the convex
 relaxation's value.  Also evaluates the deterministic landscape bounds for
 synthetic instances.
-C enters only through ``c @ S`` and its norms, never as a dense nd x nd matrix.
+C enters only through its norms and one product ``c @ S`` per point.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpm import NumericalError, SolveReport, check_time_limit, objective, random_init
+from .gpm import NumericalError, SolveReport, check_time_limit, random_init
 from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from .model import GramMatrix, SyntheticInstance
 
@@ -98,10 +98,10 @@ def solve_bm(
     Every trial step backtracks by BACKTRACK until the Armijo test with
     ARMIJO_C holds, which keeps the objective monotone; a non-finite
     objective raises :class:`NumericalError`.  Where the objective change
-    drops below its float64 resolution
-    (|f_new - f| <= 8 eps |f|), Armijo cannot see an increase, and a step is
-    accepted on the approximate Armijo condition of Hager and Zhang (SIAM J.
-    Optim., 2005) instead: 2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.
+    drops below its float64 resolution (|f_new - f| <= 8 eps |f|), Armijo
+    cannot see an increase, and a step is accepted on the approximate Armijo
+    condition of Hager and Zhang (SIAM J. Optim., 2005) instead:
+    2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below 1e-20 ends the ascent.
     The report's residual_history holds ||grad|| at every iterate, the start
     included, and converged says whether the last one is within tolerance.
     """
@@ -116,40 +116,41 @@ def solve_bm(
         s = random_init(n, d, np.random.default_rng(config.seed), p=p)
     tol = config.grad_tol * c.fro_norm()
     eta = 1.0 / max(c.spectral_norm(), 1e-300)
+
+    def evaluate(s: StiefelStack) -> tuple[float, np.ndarray]:
+        """The objective and the Riemannian gradient at S, both from one product C S."""
+        cs = c @ s.stacked
+        return float(np.sum(cs * s.stacked)), tangent_project_stack(s, cs.reshape(n, d, p))
+
     start = time.monotonic()
-    f = objective(c, s)
+    f, grad = evaluate(s)
     objective_history = [f]
-    grad = riemannian_gradient(c, s)
     residual_history = [float(np.linalg.norm(grad))]
     converged = residual_history[-1] <= tol
-    timed_out = False
+    timed_out = stalled = False
     iterations = 0
     while not (converged or timed_out) and iterations < config.max_iter:
         # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
         gnorm = residual_history[-1]
         slope = 2.0 * gnorm * gnorm
-        grad_new = None  # the gradient at s_new, when the line search computed it
         step = eta
         while True:
             s_new = retract(s, grad, step)
-            f_new = objective(c, s_new)
-            if f_new >= f + ARMIJO_C * step * slope:
+            f_new, grad_new = evaluate(s_new)
+            if not math.isfinite(f_new):
+                raise NumericalError("objective became non-finite during ascent")
+            # Where f cannot resolve the change, the slope at s_new is tested instead.
+            if f_new >= f + ARMIJO_C * step * slope or (
+                abs(f_new - f) <= 8.0 * EPS * abs(f)
+                and 2.0 * float(np.sum(grad_new * grad)) >= (2.0 * ARMIJO_C - 1.0) * slope
+            ):
                 break
-            if abs(f_new - f) <= 8.0 * EPS * abs(f):
-                # f cannot resolve the change: test the slope at s_new instead.
-                grad_new = riemannian_gradient(c, s_new)
-                slope_new = 2.0 * float(np.sum(grad_new * grad))
-                if slope_new >= (2.0 * ARMIJO_C - 1.0) * slope:
-                    break
-                grad_new = None
             step *= BACKTRACK
             if step < 1e-20:
-                s_new, f_new, grad_new = s, f, grad
+                stalled = True  # no trial step is accepted: S cannot move
                 break
-        if not math.isfinite(f_new):
-            raise NumericalError("objective became non-finite during ascent")
-        if grad_new is None:
-            grad_new = riemannian_gradient(c, s_new)
+        if stalled:
+            break
         # Next trial step: BB1 after even iterations, BB2 after odd ones.
         ds = s_new.blocks - s.blocks
         dg = grad_new - grad
@@ -163,11 +164,8 @@ def solve_bm(
         objective_history.append(f)
         iterations += 1
         converged = residual_history[-1] <= tol
-        timed_out = (
-            not converged
-            and config.time_limit_s is not None
-            and time.monotonic() - start > config.time_limit_s
-        )
+        limit = config.time_limit_s
+        timed_out = not converged and limit is not None and time.monotonic() - start > limit
     return SolveReport(
         solution=s,
         iterations=iterations,

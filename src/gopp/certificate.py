@@ -8,11 +8,12 @@ eigenvalues.  Numerically: stationarity residual below stat_tol and the
 
 Lambda - C is block diagonal minus D D^T, with D the nd x m factor of C, so
 nothing here forms an nd x nd matrix.  The multiplier and the stationarity
-residual cost O(nd m p) and are always computed.  Each eigenvalue costs
-O(n d^3) once plus O(nd m^2 + m^3) per shift of a safeguarded bisection
-(typically 6 to 15 shifts, 2 or 3 for lambda_min at a stationary S), and
-is computed only when it is first read: :func:`certify` reads lambda_{d+1}
-only at a stationary S, and lambda_min only when lambda_{d+1} > psd_tol.
+residual share one product C S (O(nd m p)) and are always computed.  Each
+eigenvalue costs O(n d^3) once plus O(nd m^2 + m^3) per shift of a
+safeguarded bisection (typically 6 to 15 shifts, 2 or 3 for lambda_min at a
+stationary S), and is computed only when it is first read: :func:`certify`
+reads lambda_{d+1} only at a stationary S, and lambda_min only when
+lambda_{d+1} > psd_tol.
 """
 from __future__ import annotations
 
@@ -81,18 +82,13 @@ class Certificate:
         }
 
 
-def build_lambda(c: GramMatrix, s: StiefelStack) -> np.ndarray:
-    """The multiplier blocks Lambda_ii = sum_j C_ij S_j S_i^T, unsymmetrized.
+def build_lambda(cs: np.ndarray, s: StiefelStack) -> np.ndarray:
+    """The multiplier blocks Lambda_ii = sum_j C_ij S_j S_i^T from cs = C S, unsymmetrized.
 
     At critical points these are symmetric; the residual asymmetry is a
     numerical diagnostic measured by :func:`certify`.
     """
-    if s.n != c.n or s.d != c.d:
-        raise ValueError(
-            f"stack (n={s.n}, d={s.d}) does not match Gram matrix (n={c.n}, d={c.d})"
-        )
-    cs = (c @ s.stacked).reshape(s.n, s.d, s.p)
-    return cs @ s.blocks.transpose(0, 2, 1)
+    return cs.reshape(s.n, s.d, s.p) @ s.blocks.transpose(0, 2, 1)
 
 
 def certify(
@@ -106,12 +102,14 @@ def certify(
         raise ValueError(f"stat_tol must be positive, got {stat_tol}")
     if not math.isfinite(psd_tol):
         raise ValueError(f"psd_tol must be finite, got {psd_tol}")
-    raw = build_lambda(c, s)
+    if s.n != c.n or s.d != c.d:
+        raise ValueError(f"stack (n={s.n}, d={s.d}) does not match Gram matrix (n={c.n}, d={c.d})")
+    cs = c @ s.stacked
+    raw = build_lambda(cs, s)
     asymmetry = float(np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2))))
     blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
-    n, d = c.n, c.d
     # (Lambda - C) S, blockwise Lambda_ii S_i minus C S.
-    residual_mat = (blocks @ s.blocks).reshape(n * d, s.p) - c @ s.stacked
+    residual_mat = (blocks @ s.blocks).reshape(cs.shape) - cs
     residual = float(np.linalg.norm(residual_mat, 2))
     residual_fro = float(np.linalg.norm(residual_mat))
     cert = Certificate(

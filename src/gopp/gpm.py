@@ -1,11 +1,11 @@
 """Generalized power method: spectral start, fixed-point iteration, rate fit.
 
-The iteration is S <- blockwise-polar(C S), with C applied through its factor
-(``c @ S``).  It starts from a given stack when the caller passes one, else
-from the spectral or a random start.  Stopping uses the Gram-image residual
-||S_next S_next^T - S S^T||_F <= tol, evaluated from p x p products
-(:func:`gram_change`); the reported solution is gauge-fixed so its first
-block is [I_d | 0].
+The iteration is S <- blockwise-polar(C S); one product C S per iterate
+gives both the step and the objective.  It starts from a given stack when the
+caller passes one, else from the spectral or a random start.  Stopping uses
+the Gram-image residual ||S_next S_next^T - S S^T||_F <= tol, from p x p
+products (:func:`gram_change`); the reported solution is gauge-fixed so its
+first block is [I_d | 0].
 """
 from __future__ import annotations
 
@@ -126,9 +126,8 @@ def random_init(n: int, d: int, rng: np.random.Generator, p: int | None = None) 
     return polar_blockwise(rng.standard_normal((n, d, p)))
 
 
-def gpm_step(c: GramMatrix, s: StiefelStack) -> StiefelStack:
-    """One power step: blockwise polar of the block product C S."""
-    cs = c @ s.stacked
+def gpm_step(cs: np.ndarray, s: StiefelStack) -> StiefelStack:
+    """One power step: blockwise polar of the block product cs = C S (nd x p)."""
     if not np.all(np.isfinite(cs)):
         raise NumericalError("non-finite block product C S")
     return polar_blockwise(cs.reshape(s.n, s.d, s.p))
@@ -172,20 +171,19 @@ def solve(
         s = random_init(n, d, np.random.default_rng(config.seed))
     start = time.monotonic()
     residual_history: list[float] = []
-    objective_history = [objective(c, s)]
+    cs = c @ s.stacked
+    objective_history = [float(np.sum(cs * s.stacked))]
     iterates = [s] if config.keep_iterates else None
-    converged = False
-    timed_out = False
-    iterations = 0
-    for _ in range(config.max_iter):
+    converged = timed_out = False
+    for iterations in range(1, config.max_iter + 1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            s_next = gpm_step(c, s)
-        iterations += 1
+            s_next = gpm_step(cs, s)
         residual = gram_change(s.stacked, s_next.stacked)
         s = s_next
+        cs = c @ s.stacked
         residual_history.append(residual)
-        objective_history.append(objective(c, s))
+        objective_history.append(float(np.sum(cs * s.stacked)))
         if iterates is not None:
             iterates.append(s)
         if residual <= config.tol:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gopp.linops import StiefelStack, polar, polar_blockwise
-from gopp.model import PointCloud, PointCloudSet
+from gopp.model import GramMatrix, PointCloud, PointCloudSet
 
 
 def random_orthogonal(rng, d):
@@ -157,3 +157,17 @@ def oracle_read(path, kind):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def gram_products(monkeypatch):
+    """A one-element list counting the products C X made through GramMatrix."""
+    count = [0]
+    matmul = GramMatrix.__matmul__
+
+    def counted(self, x):
+        count[0] += 1
+        return matmul(self, x)
+
+    monkeypatch.setattr(GramMatrix, "__matmul__", counted)
+    return count

@@ -314,3 +314,23 @@ class TestGridValidation:
 
     def test_no_time_limit_allowed(self):
         assert PhaseGrid(time_limit_s=None).time_limit_s is None
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("sigma_list", (0.2, -0.1), "sigma must be finite and nonnegative"),
+            ("sigma_list", (0.2, float("nan")), "sigma must be finite and nonnegative"),
+            ("sigma_list", (0.2, float("inf")), "sigma must be finite and nonnegative"),
+            ("n_list", (30, 1), "need d >= 1, m >= d"),
+            ("m_list", (25, 3), "need d >= 1, m >= d"),
+            ("d", 0, "need d >= 1, m >= d"),
+        ],
+    )
+    def test_rejects_bad_cell_before_any_trial(self, monkeypatch, field, value, match):
+        def no_trial(*args, **kwargs):
+            pytest.fail("run_trial was called on a grid with a bad cell")
+
+        monkeypatch.setattr("gopp.bench.run_trial", no_trial)
+        with pytest.raises(ValueError, match=match):
+            phase_diagram(PhaseGrid(**{"n_list": (30,), "trials_per_cell": 1, field: value}))
+

@@ -2,6 +2,9 @@
 
 Each workload's set-up calls the package the way the benchmark does, so a
 renamed or removed name it needs fails here and not only in a benchmark run.
+Each workload also runs traced (``--trace 1``), which wraps the traced layers
+(``gopp.gpm.gpm_step``, ``gopp.certificate.build_lambda``, ...) and so calls
+them through a wrapper that untraced runs never use.
 """
 import json
 import subprocess
@@ -14,13 +17,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("solve_n1000", "phase_n100", "bm_p7")
 
 
-@pytest.fixture(scope="module")
-def runs():
+def _run_all(trace: int) -> dict:
     """{workload: (exit code, stdout, stderr)} of one short run of each, all started at once."""
     procs = {
         w: subprocess.Popen(
             [sys.executable, "benchmark/run.py", "--workload", w, "--seed", "1",
-             "--seconds", "0.2", "--trace", "0"],
+             "--seconds", "0.2", "--trace", str(trace)],
             cwd=ROOT,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -37,10 +39,29 @@ def runs():
             p.wait()
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_runs_correct(runs, workload):
-    code, out, err = runs[workload]
+@pytest.fixture(scope="module")
+def runs():
+    return _run_all(trace=0)
+
+
+@pytest.fixture(scope="module")
+def traced_runs():
+    return _run_all(trace=1)
+
+
+def _assert_correct(run):
+    code, out, err = run
     assert code == 0, err
     result = json.loads(out.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_correct(runs, workload):
+    _assert_correct(runs[workload])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_workload_runs_correct(traced_runs, workload):
+    _assert_correct(traced_runs[workload])

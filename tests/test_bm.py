@@ -63,6 +63,18 @@ class TestGradients:
         gnorm = np.linalg.norm(riemannian_gradient(gram, report.solution))
         assert gnorm <= config.grad_tol * np.linalg.norm(dense_gram(gram))
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_equals_minus_certificate_residual(self, rng, p):
+        # With g = C S and Lambda_ii = sym(g_i S_i^T), grad_i = g_i - Lambda_ii S_i
+        # = -((Lambda - C) S)_i at every S, not only at critical points.
+        _, gram = small_instance()
+        s = random_stack(rng, 8, 2, p)
+        cert = certify(gram, s)
+        residual = cert.lambda_blocks @ s.blocks - (dense_gram(gram) @ s.stacked).reshape(8, 2, p)
+        grad = riemannian_gradient(gram, s)
+        assert np.linalg.norm(grad + residual) <= 1e-12 * gram.fro_norm()
+        assert np.linalg.norm(grad) == pytest.approx(cert.stationarity_residual_fro, rel=1e-12)
+
 
 class TestTangentProject:
     def test_tangent_vector_unchanged(self, rng):
@@ -218,6 +230,47 @@ class TestSolveBm:
         for prev, cur in zip(hist, hist[1:]):
             assert cur >= prev - 1e-9 * abs(prev)
         assert report.residual_history[-1] <= 1e-12 * gram.fro_norm()
+
+    def test_ascent_ends_when_no_trial_step_is_accepted(self, monkeypatch):
+        # Every trial point lowers f by more than float64 resolution, so the
+        # line search backtracks below 1e-20: the ascent ends unconverged at
+        # the last iterate instead of iterating on in place until max_iter.
+        _, gram = small_instance(sigma=0.0)
+        top = solve_bm(gram, BmConfig(p=5, seed=0)).solution
+        worse = random_stack(np.random.default_rng(1), 8, 2, 5)
+        assert objective(gram, worse) < 0.9 * objective(gram, top)
+        steps = []
+
+        def rejected(s, t, step):
+            steps.append(step)
+            return worse
+
+        monkeypatch.setattr(bm, "retract", rejected)
+        config = BmConfig(p=5, seed=0, grad_tol=1e-300, max_iter=300)
+        report = solve_bm(gram, config, init=top)
+        assert report.iterations == 0
+        assert not report.converged and not report.timed_out
+        assert report.solution is top
+        assert report.objective_history == [objective(gram, top)]
+        assert len(report.residual_history) == 1
+        assert steps[0] == 1.0 / gram.spectral_norm()
+        assert steps[-1] >= 1e-20 > steps[-1] * bm.BACKTRACK
+
+    def test_one_product_per_trial_point(self, gram_products, monkeypatch):
+        # Each trial point's objective and gradient come from one product C S;
+        # the start is the one point that is not a trial point.
+        _, gram = small_instance(sigma=0.3)
+        trials = []
+
+        def counted(s, t, step):
+            trials.append(step)
+            return retract(s, t, step)
+
+        monkeypatch.setattr(bm, "retract", counted)
+        report = solve_bm(gram, BmConfig(p=5, seed=1))
+        assert report.converged
+        assert len(trials) > report.iterations  # some trial points were rejected
+        assert gram_products[0] == len(trials) + 1
 
     @pytest.mark.parametrize("grad_tol", [0.0, -1e-8, float("nan")])
     def test_nonpositive_grad_tol_rejected(self, grad_tol):

@@ -50,7 +50,7 @@ class TestBuildLambda:
         inst = generate_instance("uniform_cube", 6, 8, 2, 0.0, seed=0)
         gram = build_gram(inst.observed, center_first=False)
         z = StiefelStack.identity(6, 2)
-        lam = build_lambda(gram, z)
+        lam = build_lambda(gram @ z.stacked, z)
         a = inst.truth.points
         expected = 6 * a @ a.T
         for i in range(6):
@@ -60,14 +60,14 @@ class TestBuildLambda:
         a = rng.standard_normal((2, 5))
         gram = GramMatrix(factor=a, n=1, d=2)
         s = random_stack(rng, 1, 2)
-        lam = build_lambda(gram, s)
+        lam = build_lambda(gram @ s.stacked, s)
         assert np.allclose(lam[0], dense_gram(gram) @ s.blocks[0] @ s.blocks[0].T, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         a = rng.standard_normal((2, 5))
         gram = GramMatrix(factor=a, n=1, d=2)
         with pytest.raises(ValueError, match="does not match"):
-            build_lambda(gram, random_stack(rng, 2, 2))
+            certify(gram, random_stack(rng, 2, 2))
 
     def test_asymmetry_small_at_solution(self):
         inst = generate_instance("uniform_cube", 10, 12, 2, 0.3, seed=1)
@@ -77,7 +77,7 @@ class TestBuildLambda:
             GpmConfig(init="spectral", tol=1e-10),
             d_for_init=build_data_matrix(inst.observed),
         )
-        lam = build_lambda(gram, report.solution)
+        lam = build_lambda(gram @ report.solution.stacked, report.solution)
         for b in lam:
             assert np.linalg.norm(b - b.T) <= 1e-6 * np.linalg.norm(b)
 
@@ -147,6 +147,17 @@ class TestCertify:
         doc = cert.to_json_dict()
         assert doc["verdict"] == "certified_unique_global"
         assert len(doc["lambda_blocks"]) == 5
+
+    def test_one_product_per_certificate(self, gram_products, rng):
+        inst = generate_instance("uniform_cube", 20, 10, 3, 0.3, seed=4)
+        gram = build_gram(inst.observed, center_first=False)
+        solved = solve(gram, GpmConfig(init="spectral", tol=1e-10),
+                       d_for_init=build_data_matrix(inst.observed)).solution
+        for s in (solved, random_stack(rng, 20, 3), random_stack(rng, 20, 3, 5)):
+            before = gram_products[0]
+            cert = certify(gram, s)
+            cert.to_json_dict()  # reads every eigenvalue
+            assert gram_products[0] - before == 1
 
 
 def solved_certified():

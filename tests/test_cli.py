@@ -238,6 +238,20 @@ class TestPhase:
         assert "--p" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_sigma_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            pytest.fail("run_trial was called on a grid with a bad sigma")
+
+        monkeypatch.setattr(gopp.bench, "run_trial", no_trial)
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.2,-0.1",
+             "--trials", "1", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option, value", [("--m", "8,"), ("--n", "6,x"), ("--sigmas", "0.1,,0.2")]
     )

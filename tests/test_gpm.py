@@ -96,7 +96,7 @@ class TestGpmStep:
     def test_noiseless_fixed_point(self):
         inst, gram = noiseless_setup()
         z = StiefelStack.identity(inst.n, inst.d)
-        out = gpm_step(gram, z)
+        out = gpm_step(gram @ z.stacked, z)
         assert np.allclose(out.blocks, z.blocks, atol=1e-12)
 
     def test_single_spd_block_fixes_orthogonal(self, rng):
@@ -104,14 +104,14 @@ class TestGpmStep:
         a = rng.standard_normal((3, 6))
         gram = GramMatrix(factor=a, n=1, d=3)
         s = random_stack(rng, 1, 3)
-        out = gpm_step(gram, s)
+        out = gpm_step(gram @ s.stacked, s)
         assert np.allclose(out.blocks, s.blocks, atol=1e-10)
 
     def test_matches_naive_loop(self, rng):
         inst = generate_instance("uniform_cube", 5, 8, 2, 0.4, seed=3)
         gram = build_gram(inst.observed, center_first=False)
         s = random_stack(rng, 5, 2)
-        out = gpm_step(gram, s)
+        out = gpm_step(gram @ s.stacked, s)
         for i in range(5):
             acc = sum(gram_block(gram, i, j) @ s.blocks[j] for j in range(5))
             assert np.allclose(out.blocks[i], polar(acc), atol=1e-12)
@@ -209,6 +209,17 @@ class TestSolve:
         assert doc["converged"] is True
         assert doc["solution"]["n"] == inst.n
         assert len(doc["solution"]["blocks_row_major"]) == inst.n
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 1000])
+    def test_one_product_per_iterate(self, gram_products, max_iter):
+        # k steps visit k + 1 iterates; each product C S gives both the
+        # objective there and the next step.
+        inst = generate_instance("uniform_cube", 30, 10, 3, 0.5, seed=2)
+        gram = build_gram(inst.observed, center_first=False)
+        report = solve(gram, GpmConfig(init="random", seed=1, max_iter=max_iter))
+        assert report.converged is (max_iter == 1000)
+        assert report.converged or report.iterations == max_iter
+        assert gram_products[0] == report.iterations + 1
 
 
 class TestGaugeFix:
