@@ -154,8 +154,7 @@ def snr_check(instance: SyntheticInstance) -> SnrCheck:
     if sigma_min <= 1e-12 * sigma_max:
         raise ValueError("ground-truth cloud is rank deficient; kappa undefined")
     kappa = sigma_max / sigma_min
-    deltas = instance.noise_blocks()
-    max_block = float(max(np.linalg.norm(deltas[i], 2) for i in range(instance.n)))
+    max_block = float(np.linalg.norm(instance.noise_blocks(), 2, axis=(1, 2)).max())
     thr_main = sigma_min / (192.0 * kappa**3)
     thr_gpm = sigma_min / (384.0 * kappa**4 * math.sqrt(instance.d))
     return SnrCheck(

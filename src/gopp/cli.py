@@ -126,10 +126,10 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="power method on a cloud-set file")
     s.add_argument("input", help="cloud-set file")
-    s.add_argument("--init", choices=INIT_MODES, default="spectral")
-    s.add_argument("--tol", type=float, default=1e-6)
-    s.add_argument("--max-iter", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--init", choices=INIT_MODES, default=GpmConfig.init)
+    s.add_argument("--tol", type=float, default=GpmConfig.tol)
+    s.add_argument("--max-iter", type=int, default=GpmConfig.max_iter)
+    s.add_argument("--seed", type=int, default=GpmConfig.seed)
     s.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     s.add_argument("--out", help="JSON report path (default stdout)")
     _add_common(s)
@@ -146,27 +146,28 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bm", help="Stiefel-manifold gradient ascent")
     b.add_argument("input", help="cloud-set file")
     b.add_argument("--p", type=int, help="columns per block (default 2d+1)")
-    b.add_argument("--grad-tol", type=float, default=1e-8)
-    b.add_argument("--max-iter", type=int, default=5000)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--grad-tol", type=float, default=BmConfig.grad_tol)
+    b.add_argument("--max-iter", type=int, default=BmConfig.max_iter)
+    b.add_argument("--seed", type=int, default=BmConfig.seed)
     b.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     b.add_argument("--out", help="JSON report path (default stdout)")
     _add_common(b)
 
     ph = sub.add_parser("phase", help="Monte Carlo phase-transition grid")
-    ph.add_argument("--model", choices=CLOUD_MODELS, default="uniform_cube")
-    ph.add_argument("--d", type=int, default=3)
-    ph.add_argument("--m", type=_list_of(int), default="25", help="comma-separated m values")
-    ph.add_argument("--n", type=_list_of(int), default="100", help="comma-separated n values")
-    ph.add_argument(
-        "--sigmas", type=_list_of(float), default="0.2,0.4,0.6,0.8,1.0,1.2,1.4",
-        help="comma-separated noise levels",
-    )
-    ph.add_argument("--trials", type=int, default=20)
-    ph.add_argument("--seed", type=int, default=0)
+    ph.add_argument("--model", choices=CLOUD_MODELS, default=PhaseGrid.cloud_model)
+    ph.add_argument("--d", type=int, default=PhaseGrid.d)
+    ph.add_argument("--m", type=_list_of(int), default=PhaseGrid.m_list,
+                    help="comma-separated m values")
+    ph.add_argument("--n", type=_list_of(int), default=PhaseGrid.n_list,
+                    help="comma-separated n values")
+    ph.add_argument("--sigmas", type=_list_of(float), default=PhaseGrid.sigma_list,
+                    help="comma-separated noise levels")
+    ph.add_argument("--trials", type=int, default=PhaseGrid.trials_per_cell)
+    ph.add_argument("--seed", type=int, default=PhaseGrid.base_seed)
     ph.add_argument("--method", choices=METHODS, default="gpm_random")
     ph.add_argument("--p", type=int, help="columns per block for method=bm")
-    ph.add_argument("--time-limit", type=float, default=60.0, help="per-trial cap in seconds")
+    ph.add_argument("--time-limit", type=float, default=PhaseGrid.time_limit_s,
+                    help="per-trial cap in seconds")
     ph.add_argument("--workers", type=int, default=1)
     ph.add_argument("--out", required=True, help="CSV output path")
     _add_common(ph)
@@ -272,10 +273,15 @@ def main(argv=None) -> int:
             print(f"gopp: bad config file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         child = parser.commands[args.command]
+        options = {key for command in parser.commands.values() for key in command.options}
         known = {}
         for key, (lineno, value) in defaults.items():
+            if key not in options and key != "command":
+                print(f"gopp: bad config file: {args.config}: line {lineno}: "
+                      f"unknown option {key!r}", file=sys.stderr)
+                return EXIT_USAGE
             if key == "command" or not hasattr(args, key):
-                continue  # not an option of this subcommand
+                continue  # an option of another subcommand: one file serves several
             action = child.options[key]
             try:
                 known[key] = _config_value(action, value)

@@ -56,66 +56,62 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PointCloudSet:
-    """n point clouds sharing the same (d, m)."""
+    """n point clouds sharing the same (d, m), held as one read-only (n, d, m) array."""
 
-    clouds: tuple
+    points: np.ndarray
 
-    def __post_init__(self):
-        clouds = tuple(self.clouds)
+    def __init__(self, clouds):
+        clouds = tuple(clouds)
         if len(clouds) < 2:
             raise ValueError("a cloud set needs n >= 2 clouds")
         d, m = clouds[0].d, clouds[0].m
         for i, c in enumerate(clouds):
             if (c.d, c.m) != (d, m):
-                raise ValueError(
-                    f"cloud {i} has shape ({c.d}, {c.m}), expected ({d}, {m})"
-                )
-        object.__setattr__(self, "clouds", clouds)
+                raise ValueError(f"cloud {i} has shape ({c.d}, {c.m}), expected ({d}, {m})")
+        pts = np.stack([c.points for c in clouds])  # each cloud was checked on its own
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_array(cls, points) -> PointCloudSet:
-        """The n clouds of an (n, d, m) array, validated once and kept as views of it."""
+        """The cloud set of an (n, d, m) array, validated once."""
         pts = _checked_points(points, 3)
         if len(pts) < 2:
             raise ValueError("a cloud set needs n >= 2 clouds")
-        clouds = []
-        for view in pts:
-            cloud = object.__new__(PointCloud)  # checked above as part of pts
-            object.__setattr__(cloud, "points", view)
-            clouds.append(cloud)
-        # The views share one shape, so the set skips __post_init__'s re-check.
         cloud_set = object.__new__(cls)
-        object.__setattr__(cloud_set, "clouds", tuple(clouds))
-        cloud_set.__dict__["points"] = pts
+        object.__setattr__(cloud_set, "points", pts)
         return cloud_set
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """All clouds as one read-only (n, d, m) array."""
-        pts = np.stack([c.points for c in self.clouds])
-        pts.setflags(write=False)
-        return pts
+    def clouds(self) -> tuple:
+        """The n clouds as read-only views of `points`, which was checked whole."""
+        clouds = []
+        for view in self.points:
+            cloud = object.__new__(PointCloud)
+            object.__setattr__(cloud, "points", view)
+            clouds.append(cloud)
+        return tuple(clouds)
 
     @property
     def n(self) -> int:
-        return len(self.clouds)
+        return self.points.shape[0]
 
     @property
     def d(self) -> int:
-        return self.clouds[0].d
+        return self.points.shape[1]
 
     @property
     def m(self) -> int:
-        return self.clouds[0].m
+        return self.points.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """A generated instance with its ground truth retained.
 
-    observed.clouds[i] = O_i (A - mu_i 1^T) + sigma * W_i, with the noise
+    observed.points[i] = O_i (A - mu_i 1^T) + sigma * W_i, with the noise
     draws W_i stored so the instance reconstructs exactly from the seed.
     """
 
@@ -179,8 +175,8 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
 
 
-def estimate_shifts(clouds: PointCloudSet, rotations: RotationStack) -> list[np.ndarray]:
-    """Per-cloud shift estimates given candidate rotations.
+def estimate_shifts(clouds: PointCloudSet, rotations: RotationStack) -> np.ndarray:
+    """Shift estimates given candidate rotations, as an (n, d) array.
 
     Uses the joint closed form: the consensus cloud is the average of the
     de-rotated centered observations (which fixes the translation gauge at
@@ -191,13 +187,9 @@ def estimate_shifts(clouds: PointCloudSet, rotations: RotationStack) -> list[np.
             f"rotation stack ({rotations.n} blocks of {rotations.d}x{rotations.p}) "
             f"does not match cloud set (n={clouds.n}, d={clouds.d})"
         )
-    m = clouds.m
-    derotated = [
-        rotations.blocks[i].T @ clouds.clouds[i].points for i in range(clouds.n)
-    ]
-    consensus = sum(a - a.mean(axis=1, keepdims=True) for a in derotated) / clouds.n
-    ones = np.ones(m)
-    return [(consensus - derotated[i]) @ ones / m for i in range(clouds.n)]
+    derotated = rotations.blocks.transpose(0, 2, 1) @ clouds.points
+    consensus = (derotated - derotated.mean(axis=2, keepdims=True)).mean(axis=0)
+    return (consensus - derotated).mean(axis=2)
 
 
 def build_data_matrix(clouds: PointCloudSet) -> np.ndarray:

@@ -191,6 +191,13 @@ class TestSolveBm:
             for prev, cur in zip(hist, hist[1:]):
                 assert cur >= prev - 1e-9 * abs(prev), seed
 
+    def test_time_limit_stops_after_one_iteration(self):
+        _, gram = small_instance(sigma=0.3)
+        report = solve_bm(gram, BmConfig(p=5, grad_tol=1e-300, time_limit_s=1e-9))
+        assert report.timed_out and not report.converged
+        assert report.iterations == 1
+        assert len(report.residual_history) == 2
+
     def test_step_falls_back_to_growth_when_bb_undefined(self, monkeypatch):
         # A retraction that leaves S in place gives s = y = 0, so <s, y> = 0
         # and neither BB step is defined: each trial step must then be the

@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line interface."""
+import dataclasses
 import json
 import re
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gopp.bench
+import gopp.bm
 import gopp.cli
 import gopp.gpm
 from gopp.bench import generate_instance, run_trial
@@ -228,6 +230,16 @@ class TestPhase:
         assert "time_limit_s must be None or positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_timeout_dominated_grid_exits_3(self, tmp_path):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "10", "--m", "8", "--d", "2", "--sigmas", "0.5",
+             "--trials", "3", "--time-limit", "1e-9", "--out", str(out)]
+        )
+        assert code == gopp.cli.EXIT_TIMEOUT == 3
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["timeouts"] == "3"
+
     def test_p_with_a_method_other_than_bm_rejected(self, tmp_path, capsys):
         out = tmp_path / "phase.csv"
         code = run_cli(
@@ -295,6 +307,33 @@ class TestChoices:
         assert commands["phase"].options["method"].choices is gopp.bench.METHODS
         for name in ("generate", "phase"):
             assert commands[name].options["model"].choices is gopp.bench.CLOUD_MODELS
+
+
+@pytest.mark.parametrize(
+    "command, dest, config, field",
+    [
+        ("solve", "init", gopp.gpm.GpmConfig, "init"),
+        ("solve", "tol", gopp.gpm.GpmConfig, "tol"),
+        ("solve", "max_iter", gopp.gpm.GpmConfig, "max_iter"),
+        ("solve", "seed", gopp.gpm.GpmConfig, "seed"),
+        ("bm", "grad_tol", gopp.bm.BmConfig, "grad_tol"),
+        ("bm", "max_iter", gopp.bm.BmConfig, "max_iter"),
+        ("bm", "seed", gopp.bm.BmConfig, "seed"),
+        ("phase", "model", gopp.bench.PhaseGrid, "cloud_model"),
+        ("phase", "d", gopp.bench.PhaseGrid, "d"),
+        ("phase", "m", gopp.bench.PhaseGrid, "m_list"),
+        ("phase", "n", gopp.bench.PhaseGrid, "n_list"),
+        ("phase", "sigmas", gopp.bench.PhaseGrid, "sigma_list"),
+        ("phase", "trials", gopp.bench.PhaseGrid, "trials_per_cell"),
+        ("phase", "seed", gopp.bench.PhaseGrid, "base_seed"),
+        ("phase", "time_limit", gopp.bench.PhaseGrid, "time_limit_s"),
+    ],
+)
+def test_cli_default_is_the_library_default(command, dest, config, field):
+    required = {"solve": ["in.txt"], "bm": ["in.txt"], "phase": ["--out", "out.csv"]}
+    args = gopp.cli.build_parser().parse_args([command, *required[command]])
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    assert getattr(args, dest) == defaults[field]
 
 
 class TestUsageErrors:
@@ -370,6 +409,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}: line 2: --init" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, key", [("max_itr=1\n", "max_itr"),
+                                           ("seed=3\ncentre=false\n", "centre")])
+    def test_unknown_config_key_names_file_and_line(
+        self, cloud_set_file, tmp_path, capsys, text, key
+    ):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "report.json"
+        code = run_cli(["solve", str(cloud_set_file), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        lineno = len(text.splitlines())
+        assert capsys.readouterr().err == (
+            f"gopp: bad config file: {cfg}: line {lineno}: unknown option {key!r}\n"
+        )
+
+    def test_config_key_of_another_subcommand_is_ignored(self, cloud_set_file, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("command=phase\ngrad-tol=1e-3\ntrials=2\n")
+        paths = [tmp_path / "config.json", tmp_path / "plain.json"]
+        extra = (["--config", str(cfg)], [])
+        for path, args in zip(paths, extra):
+            assert run_cli(["solve", str(cloud_set_file), *args, "--out", str(path)]) == EXIT_OK
+        assert paths[0].read_text() == paths[1].read_text()
 
     def test_bad_config_line(self, cloud_set_file, tmp_path):
         cfg = tmp_path / "solve.cfg"

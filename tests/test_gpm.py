@@ -151,6 +151,14 @@ class TestSolve:
         assert not report.converged
         assert report.iterations == 2
 
+    def test_time_limit_stops_after_one_iteration(self):
+        inst = generate_instance("uniform_cube", 10, 12, 2, 0.6, seed=6)
+        gram = build_gram(inst.observed, center_first=False)
+        report = solve(gram, GpmConfig(init="random", tol=1e-300, time_limit_s=1e-9))
+        assert report.timed_out and not report.converged
+        assert report.iterations == 1
+        assert len(report.residual_history) == 1
+
     def test_spectral_init_requires_data_matrix(self):
         _, gram = noiseless_setup()
         with pytest.raises(ValueError, match="data matrix"):
