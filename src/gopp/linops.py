@@ -241,20 +241,32 @@ def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
 
     With Delta = S' - S the difference is S Delta^T + Delta S'^T, whose squared
     norm is <S^T S, Delta^T Delta> + <S'^T S', Delta^T Delta>
-    + 2 tr((Delta^T S')(Delta^T S)).  The terms are of order ||Delta||^2, so
-    the result is accurate to roundoff relative to the residual while Delta
-    is on the residual's scale, as between successive solver iterates.  A
-    global rotation S' = S Q leaves the Gram matrix unchanged with a large
-    Delta; align S' to S first when such moves are possible.
+    + 2 tr((Delta^T S')(Delta^T S)).  Each term carries roundoff eps times
+    (||S||^2 + ||S'||^2) ||Delta||^2, so the sum is used while it is at least
+    1e-3 of that, as between successive solver iterates.  Below, the terms
+    cancel: the difference is [S Delta] K [S Delta]^T with
+    K = [[0, I], [I, I]], and from the R factor [A B] of a thin QR of
+    [S Delta] the norm is ||A B^T + B (A + B)^T||_F, with roundoff
+    eps ||S|| ||Delta||.  A global rotation S' = S Q leaves the Gram matrix
+    unchanged with a large Delta; align S' to S first when such moves are
+    possible.
     """
     delta = s_new - s
     dd = delta.T @ delta
-    sq = (
-        np.sum((s.T @ s) * dd)
-        + np.sum((s_new.T @ s_new) * dd)
+    gram, gram_new = s.T @ s, s_new.T @ s_new
+    sq = float(
+        np.sum(gram * dd)
+        + np.sum(gram_new * dd)
         + 2.0 * np.trace((delta.T @ s_new) @ (delta.T @ s))
     )
-    return math.sqrt(max(float(sq), 0.0))
+    if sq >= 1e-3 * float(np.trace(gram) + np.trace(gram_new)) * float(np.trace(dd)):
+        return math.sqrt(sq)
+    p = s.shape[1]
+    r = np.linalg.qr(np.hstack([s, delta]), mode="r")
+    a, b = r[:, :p], r[:, p:]
+    diff = a @ b.T
+    diff += b @ (a + b).T
+    return float(np.linalg.norm(diff))
 
 
 def lambda_kth_smallest(blocks: np.ndarray, factor: np.ndarray, k: int) -> float:
