@@ -8,7 +8,7 @@ import argparse
 import numpy as np
 
 from gopp.bench import generate_instance
-from gopp.bm import BmConfig, landscape_bounds, solve_bm
+from gopp.bm import BmConfig, solve_bm
 from gopp.certificate import certify
 from gopp.gpm import GpmConfig, solve
 from gopp.model import build_gram
@@ -42,12 +42,6 @@ def main():
     g2 = bm.solution.stacked @ bm.solution.stacked.T
     rel = np.linalg.norm(g1 - g2) / np.linalg.norm(g1)
     print(f"relative Gram mismatch: {rel:.2e}")
-
-    report = landscape_bounds(inst, p)
-    print(
-        f"landscape bound: lhs={max(report.delta_pi_norm, report.partial_trace_norm):.4f}"
-        f" rhs={report.bound_rhs:.4f} satisfied={report.satisfied}"
-    )
 
 
 if __name__ == "__main__":

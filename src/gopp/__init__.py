@@ -1,4 +1,4 @@
-"""Generalized orthogonal Procrustes: power method, certificates, landscape."""
+"""Generalized orthogonal Procrustes: power method, certificates, Stiefel ascent."""
 
 from .linops import (
     AlignmentResult,
@@ -22,7 +22,6 @@ from .model import (
     SyntheticInstance,
     build_data_matrix,
     build_gram,
-    estimate_shifts,
 )
 from .gpm import (
     GpmConfig,
@@ -37,8 +36,6 @@ from .gpm import (
 from .certificate import Certificate, SnrCheck, Verdict, build_lambda, certify, snr_check
 from .bm import (
     BmConfig,
-    LandscapeReport,
-    landscape_bounds,
     retract,
     riemannian_gradient,
     solve_bm,

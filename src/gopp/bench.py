@@ -14,7 +14,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,7 @@ from .bm import BmConfig, solve_bm
 from .certificate import certify
 from .gpm import GpmConfig, NumericalError, check_time_limit, solve
 from .linops import RotationStack, StiefelStack, df
-from .model import (
-    GramMatrix,
-    PointCloud,
-    PointCloudSet,
-    SyntheticInstance,
-    build_data_matrix,
-    build_gram,
-)
+from .model import PointCloud, PointCloudSet, SyntheticInstance, build_data_matrix, build_gram
 
 CLOUD_MODELS = ("uniform_cube", "standard_normal")
 METHODS = ("gpm_spectral", "gpm_random", "bm")

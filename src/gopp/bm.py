@@ -4,8 +4,7 @@ Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction:
 alternating Barzilai-Borwein trial steps, a grow rule where they are
 undefined, and Armijo backtracking as the safeguard.  At p = d this is the
 original orthogonal-block problem; at p = nd it attains the convex
-relaxation's value.  Also evaluates the deterministic landscape bounds for
-synthetic instances.
+relaxation's value.
 C enters only through its norms and one product ``c @ S`` per point.
 """
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .gpm import NumericalError, SolveReport, check_time_limit, random_init
 from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
-from .model import GramMatrix, SyntheticInstance
+from .model import GramMatrix
 
 EPS = float(np.finfo(float).eps)
 ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
@@ -35,8 +34,8 @@ class BmConfig:
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         check_time_limit(self.time_limit_s)
@@ -173,74 +172,4 @@ def solve_bm(
         objective_history=objective_history,
         converged=converged,
         timed_out=timed_out,
-    )
-
-
-@dataclass
-class LandscapeReport:
-    """Deterministic benign-landscape bounds evaluated on a synthetic instance."""
-
-    delta_pi_norm: float  # ||Delta_tilde^Pi||
-    partial_trace_norm: float  # ||Tr_d(Delta_tilde^Pi)||
-    bound_rhs: float  # n(p - 2d) / (8 kappa (p + d) sqrt(d))
-    block_noise_bound: float  # sigma_min(A) / (12 kappa)
-    max_block_noise: float
-    satisfied: bool
-    gamma: float
-    delta: float
-
-
-def landscape_bounds(instance: SyntheticInstance, p: int) -> LandscapeReport:
-    """Evaluate the no-spurious-local-maxima conditions for a given p.
-
-    Works in the identity-gauge frame: observations are de-rotated by the
-    ground-truth blocks first, which leaves every norm involved unchanged.
-    """
-    a = instance.truth.points
-    n, d = instance.n, instance.d
-    if p < d:
-        raise ValueError(f"p={p} must be at least d={d}")
-    pi = a @ a.T
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= 0.0 or not np.isfinite(svals[-1]):
-        raise ValueError("A A^T is singular; rescaled noise undefined")
-    kappa = float(svals[0] / svals[-1])
-    derotated = instance.rotations.blocks.transpose(0, 2, 1) @ instance.observed.points
-    delta_blocks = derotated - a  # includes shift terms if the instance has any
-    # Delta_tilde = Delta A^T Z^T + Z A Delta^T + Delta Delta^T = U G U^T with
-    # U = [Delta, Z] (nd x (m + d)) and Z = 1 (x) I_d, so both norms come from
-    # thin QR factors and no nd x nd or n x n matrix is formed.
-    u_blocks = np.concatenate([delta_blocks, np.broadcast_to(np.eye(d), (n, d, d))], axis=2)
-    g = np.block([[np.eye(instance.m), a.T], [a, np.zeros((d, d))]])
-    pi_inv = np.linalg.inv(pi)
-    # ||blockdiag(Pi^-1) U G U^T||_2 = ||R_PU G R_U^T||_2.
-    r_pu = np.linalg.qr((pi_inv @ u_blocks).reshape(n * d, -1), mode="r")
-    r_u = np.linalg.qr(u_blocks.reshape(n * d, -1), mode="r")
-    delta_pi_norm = float(np.linalg.norm(r_pu @ g @ r_u.T, 2))
-    # Tr(Pi^-1 Delta_tilde_ij) = <Pi^-1 U_i G, U_j>_F: a product of two n x d(m + d) factors.
-    r_left = np.linalg.qr((pi_inv @ u_blocks @ g).reshape(n, -1), mode="r")
-    r_right = np.linalg.qr(u_blocks.reshape(n, -1), mode="r")
-    partial_trace_norm = float(np.linalg.norm(r_left @ r_right.T, 2))
-    bound_rhs = n * (p - 2 * d) / (8.0 * kappa * (p + d) * math.sqrt(d))
-    block_noise_bound = float(svals[-1]) / (12.0 * kappa)
-    max_block_noise = float(np.linalg.norm(delta_blocks, 2, axis=(1, 2)).max())
-    gamma = max(partial_trace_norm / delta_pi_norm, 1.0) if delta_pi_norm > 0 else 1.0
-    delta_const = (
-        (2.0 + math.sqrt(5.0)) * (p + d) * gamma / (p - 2 * d)
-        if p > 2 * d
-        else math.inf
-    )
-    satisfied = (
-        max(delta_pi_norm, partial_trace_norm) <= bound_rhs
-        and max_block_noise <= block_noise_bound
-    )
-    return LandscapeReport(
-        delta_pi_norm=delta_pi_norm,
-        partial_trace_norm=partial_trace_norm,
-        bound_rhs=bound_rhs,
-        block_noise_bound=block_noise_bound,
-        max_block_noise=max_block_noise,
-        satisfied=satisfied,
-        gamma=gamma,
-        delta=delta_const,
     )

@@ -98,8 +98,8 @@ def certify(
     psd_tol: float = 0.0,
 ) -> Certificate:
     """Evaluate the dual certificate for a candidate stack (p >= d allowed)."""
-    if not stat_tol > 0:
-        raise ValueError(f"stat_tol must be positive, got {stat_tol}")
+    if not 0 < stat_tol < math.inf:
+        raise ValueError(f"stat_tol must be positive and finite, got {stat_tol}")
     if not math.isfinite(psd_tol):
         raise ValueError(f"psd_tol must be finite, got {psd_tol}")
     if s.n != c.n or s.d != c.d:

@@ -2,7 +2,8 @@
 
 Subcommands: generate (emit instance files), solve (power method on a
 cloud-set file, JSON report), certify (cloud set + stack file, certificate
-JSON), bm (Stiefel ascent), phase (grid run, CSV).
+JSON), bm (Stiefel ascent), phase (grid run, CSV; the interpolated 50%
+success crossing of each (n, m) group goes to stderr).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
 3 timeout-dominated grid.
@@ -10,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -19,6 +21,7 @@ from .bench import (
     CLOUD_MODELS,
     METHODS,
     PhaseGrid,
+    crossing_sigma,
     generate_instance,
     phase_diagram,
     write_phase_csv,
@@ -33,7 +36,6 @@ from .model import (
     read_stack,
     write_cloud,
     write_cloud_set,
-    write_stack,
 )
 
 EXIT_OK = 0
@@ -246,6 +248,10 @@ def _cmd_phase(args) -> int:
     )
     rows = phase_diagram(grid, method=args.method, p=args.p, workers=args.workers)
     write_phase_csv(args.out, rows)
+    for (n, m), group in itertools.groupby(rows, key=lambda r: (r.n, r.m)):
+        cross = crossing_sigma(list(group))
+        shown = "not bracketed" if cross is None else repr(cross)
+        print(f"n={n} m={m}: 50% crossing at sigma {shown}", file=sys.stderr)
     total_trials = sum(r.trials for r in rows)
     total_timeouts = sum(r.timeouts for r in rows)
     if total_timeouts > total_trials / 2:

@@ -44,8 +44,8 @@ class GpmConfig:
     time_limit_s: float | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.init not in INIT_MODES:

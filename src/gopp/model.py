@@ -1,4 +1,4 @@
-"""Observation model: point clouds, shift estimation, and the Gram matrix.
+"""Observation model: point clouds and the Gram matrix.
 
 n noisy copies of a latent d x m cloud A are observed as
 A_i = O_i (A - mu_i 1^T) + sigma W_i.  After centering, recovering the O_i
@@ -173,23 +173,6 @@ class GramMatrix:
     def spectral_norm(self) -> float:
         """||C||_2 = sigma_max(D)^2."""
         return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
-
-
-def estimate_shifts(clouds: PointCloudSet, rotations: RotationStack) -> np.ndarray:
-    """Shift estimates given candidate rotations, as an (n, d) array.
-
-    Uses the joint closed form: the consensus cloud is the average of the
-    de-rotated centered observations (which fixes the translation gauge at
-    zero column mean), and mu_hat_i = (1/m)(A_hat - O_i^T A_i) 1.
-    """
-    if rotations.n != clouds.n or rotations.d != clouds.d or rotations.p != clouds.d:
-        raise ValueError(
-            f"rotation stack ({rotations.n} blocks of {rotations.d}x{rotations.p}) "
-            f"does not match cloud set (n={clouds.n}, d={clouds.d})"
-        )
-    derotated = rotations.blocks.transpose(0, 2, 1) @ clouds.points
-    consensus = (derotated - derotated.mean(axis=2, keepdims=True)).mean(axis=0)
-    return (consensus - derotated).mean(axis=2)
 
 
 def build_data_matrix(clouds: PointCloudSet) -> np.ndarray:

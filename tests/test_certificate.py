@@ -110,6 +110,7 @@ class TestCertify:
             ({"psd_tol": float("nan")}, "psd_tol"),
             ({"psd_tol": float("inf")}, "psd_tol"),
             ({"psd_tol": -float("inf")}, "psd_tol"),
+            ({"stat_tol": float("inf")}, "stat_tol"),
         ],
     )
     def test_rejects_tolerances_that_decide_nothing(self, rng, tols, name):

@@ -15,8 +15,9 @@ import gopp.bm
 import gopp.cli
 import gopp.gpm
 from gopp.bench import generate_instance, run_trial
-from gopp.cli import EXIT_OK, EXIT_USAGE, main, read_stack, write_stack
+from gopp.cli import EXIT_OK, EXIT_USAGE, main
 from gopp.linops import StiefelStack
+from gopp.model import read_stack, write_stack
 
 from conftest import random_stack
 
@@ -117,6 +118,14 @@ class TestSolve:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tol_not_positive_and_finite_rejected(self, cloud_set_file, tmp_path, capsys, tol):
+        out = tmp_path / "report.json"
+        code = run_cli(["solve", str(cloud_set_file), "--tol", tol, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_input_names_file_and_line(self, cloud_set_file, capsys):
         lines = cloud_set_file.read_text().splitlines(keepends=True)
         cloud_set_file.write_text("".join(lines[:-1]))
@@ -152,7 +161,7 @@ class TestCertify:
         assert json.loads(out.read_text())["verdict"] == "certified_unique_global"
 
 
-    @pytest.mark.parametrize("stat_tol", ["nan", "0"])
+    @pytest.mark.parametrize("stat_tol", ["nan", "0", "inf"])
     def test_stat_tol_not_positive_rejected(self, cloud_set_file, tmp_path, capsys, stat_tol):
         stack_path = tmp_path / "stack.txt"
         write_stack(stack_path, StiefelStack.identity(6, 2))
@@ -174,7 +183,7 @@ class TestBm:
         assert len(doc["singular_values_of_S"]) == 5
 
 
-    @pytest.mark.parametrize("grad_tol", ["0", "-0.5"])
+    @pytest.mark.parametrize("grad_tol", ["0", "-0.5", "inf", "nan"])
     def test_nonpositive_grad_tol_rejected(self, cloud_set_file, capsys, grad_tol):
         assert run_cli(["bm", str(cloud_set_file), "--grad-tol", grad_tol]) == EXIT_USAGE
         assert "grad_tol must be positive" in capsys.readouterr().err
@@ -201,6 +210,39 @@ class TestPhase:
             "model,n,m,d,sigma,trials,successes,mean_iters,mean_df_truth,timeouts"
         )
         assert len(lines) == 3
+
+    def test_crossing_line_matches_crossing_sigma(self, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6", "--m", "8", "--d", "2", "--sigmas", "0.0,2.0",
+             "--trials", "2", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        grid = gopp.bench.PhaseGrid(
+            d=2, m_list=(8,), n_list=(6,), sigma_list=(0.0, 2.0), trials_per_cell=2
+        )
+        rows = gopp.bench.phase_diagram(grid)
+        cross = gopp.bench.crossing_sigma(rows)
+        assert cross is not None
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"n=6 m=8: 50% crossing at sigma {cross!r}\n"
+        # The CSV is what the library writes for the same grid: the line goes to stderr only.
+        direct = tmp_path / "direct.csv"
+        gopp.bench.write_phase_csv(direct, rows)
+        assert out.read_bytes() == direct.read_bytes()
+
+    def test_one_crossing_line_per_n_and_m(self, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        code = run_cli(
+            ["phase", "--n", "6,8", "--m", "8", "--d", "2", "--sigmas", "0.0",
+             "--trials", "1", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "n=6 m=8: 50% crossing at sigma not bracketed",
+            "n=8 m=8: 50% crossing at sigma not bracketed",
+        ]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_rejected(self, tmp_path, capsys, workers):

@@ -46,6 +46,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="tol"):
             GpmConfig(tol=float("nan"))
 
+    def test_rejects_infinite_tol(self):
+        # An infinite tol would stop the first step at any residual and call it converged.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            GpmConfig(tol=float("inf"))
+
     def test_init_modes_are_the_computed_starts(self):
         assert INIT_MODES == ("spectral", "random")
 

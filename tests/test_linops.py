@@ -27,7 +27,7 @@ from gopp.linops import (
 )
 from gopp.model import build_gram
 
-from conftest import dense_gap, partial_trace, random_orthogonal, random_stack, random_tangent
+from conftest import dense_gap, random_orthogonal, random_stack, random_tangent
 
 
 def conditioned_blocks(rng, n, d, p, log_kappa, log_scale=0.0):
@@ -268,29 +268,6 @@ class TestDfIdentities:
             np.linalg.svd(block_sum, compute_uv=False)
         )
         assert abs(formula - expected) <= 1e-8
-
-
-class TestPartialTrace:
-    def test_identity_blocks(self):
-        out = partial_trace(np.eye(6), np.eye(2))
-        assert np.allclose(out, 2.0 * np.eye(3), atol=1e-14)
-
-    def test_single_block_is_trace(self, rng):
-        m = rng.standard_normal((3, 3))
-        w = rng.standard_normal((3, 3))
-        out = partial_trace(m, w)
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - np.trace(w @ m)) <= 1e-12
-
-    def test_matches_naive_double_loop(self, rng):
-        n, d = 3, 2
-        m = rng.standard_normal((n * d, n * d))
-        w = rng.standard_normal((d, d))
-        out = partial_trace(m, w)
-        for i in range(n):
-            for j in range(n):
-                blk = m[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                assert abs(out[i, j] - np.trace(w @ blk)) <= 1e-12
 
 
 class TestLambdaKthSmallest:

@@ -1,4 +1,4 @@
-"""Unit tests for the observation model, shift estimation, and Gram matrix."""
+"""Unit tests for the observation model and the Gram matrix."""
 import re
 import tempfile
 import warnings
@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 import gopp.model
 from gopp.bench import generate_instance
 from gopp.gpm import objective
-from gopp.linops import RotationStack, StiefelStack
+from gopp.linops import StiefelStack
 from gopp.model import (
     GramMatrix,
     PointCloud,
     PointCloudSet,
     build_data_matrix,
     build_gram,
-    estimate_shifts,
     read_cloud,
     read_cloud_set,
     read_stack,
@@ -113,69 +112,6 @@ class TestCenter:
         once = build_gram(clouds, center_first=True).factor
         again = PointCloudSet.from_array(once.reshape(3, 3, 7))
         assert np.allclose(build_gram(again, center_first=True).factor, once, atol=1e-14)
-
-
-class TestEstimateShifts:
-    def test_exact_recovery_with_centered_truth(self, rng):
-        n, d, m = 4, 3, 6
-        a = rng.standard_normal((d, m))
-        a -= a.mean(axis=1, keepdims=True)
-        rots = np.stack([random_orthogonal(rng, d) for _ in range(n)])
-        mus = [rng.standard_normal(d) for _ in range(n)]
-        clouds = PointCloudSet(
-            tuple(PointCloud(rots[i] @ (a - mus[i][:, None])) for i in range(n))
-        )
-        est = estimate_shifts(clouds, RotationStack(rots))
-        for mu, mu_hat in zip(mus, est):
-            assert np.allclose(mu_hat, mu, atol=1e-12)
-
-    def test_zero_shifts_zero_noise(self, rng):
-        n, d, m = 3, 2, 5
-        a = rng.standard_normal((d, m))
-        a -= a.mean(axis=1, keepdims=True)
-        clouds = PointCloudSet(tuple(PointCloud(a.copy()) for _ in range(n)))
-        est = estimate_shifts(clouds, RotationStack.identity(n, d))
-        for mu_hat in est:
-            assert np.allclose(mu_hat, 0.0, atol=1e-12)
-
-    def test_matches_least_squares_oracle(self):
-        # Noiseless d=2, n=3, m=5 instance: compare against per-cloud least
-        # squares for mu given the consensus, and against gauge-fixed truth.
-        rng = np.random.default_rng(11)
-        n, d, m = 3, 2, 5
-        a = rng.standard_normal((d, m))
-        rots = np.stack([random_orthogonal(rng, d) for _ in range(n)])
-        mus = [rng.standard_normal(d) for _ in range(n)]
-        clouds = PointCloudSet(
-            tuple(PointCloud(rots[i] @ (a - mus[i][:, None])) for i in range(n))
-        )
-        est = estimate_shifts(clouds, RotationStack(rots))
-
-        derotated = [rots[i].T @ clouds.clouds[i].points for i in range(n)]
-        consensus = sum(x - x.mean(axis=1, keepdims=True) for x in derotated) / n
-        design = np.tile(np.eye(d), (m, 1))
-        for i in range(n):
-            rhs = (consensus - derotated[i]).T.reshape(-1)
-            mu_ls, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-            assert np.allclose(est[i], mu_ls, atol=1e-12)
-
-        # Shifts are identifiable modulo a common translation: compare after
-        # removing each family's mean.
-        est_centered = np.array(est) - np.mean(est, axis=0)
-        mu_centered = np.array(mus) - np.mean(mus, axis=0)
-        assert np.allclose(est_centered, mu_centered, atol=1e-12)
-
-    def test_round_trip_with_centered_clouds(self, rng):
-        clouds = make_cloud_set(rng, 3, 2, 6)
-        centered = PointCloudSet(tuple(center(c) for c in clouds.clouds))
-        est = estimate_shifts(centered, RotationStack.identity(3, 2))
-        for mu_hat in est:
-            assert np.max(np.abs(mu_hat)) <= 1e-12
-
-    def test_dimension_mismatch_names_problem(self, rng):
-        clouds = make_cloud_set(rng, 3, 2, 5)
-        with pytest.raises(ValueError, match="does not match"):
-            estimate_shifts(clouds, RotationStack.identity(2, 2))
 
 
 class TestDataMatrix:
