@@ -20,11 +20,10 @@ def main():
     ap.add_argument("--m", type=int, default=25)
     ap.add_argument("--d", type=int, default=3)
     ap.add_argument("--sigma", type=float, default=0.3)
-    ap.add_argument("--p", type=int, default=None, help="default 2d+1")
+    ap.add_argument("--p", type=int, default=BmConfig.p, help="default 2d+1")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    p = args.p if args.p is not None else 2 * args.d + 1
     inst = generate_instance(
         "uniform_cube", args.n, args.m, args.d, args.sigma, seed=args.seed
     )
@@ -34,9 +33,9 @@ def main():
     cert = certify(gram, gpm.solution)
     print(f"power method: iters={gpm.iterations} verdict={cert.verdict.value}")
 
-    bm = solve_bm(gram, BmConfig(p=p, seed=args.seed))
+    bm = solve_bm(gram, BmConfig(p=args.p, seed=args.seed))
     sv = np.linalg.svd(bm.solution.stacked, compute_uv=False)
-    print(f"stiefel ascent (p={p}): iters={bm.iterations} sigma_d+1={sv[args.d]:.2e}")
+    print(f"stiefel ascent (p={bm.solution.p}): iters={bm.iterations} sigma_d+1={sv[args.d]:.2e}")
 
     g1 = gpm.solution.stacked @ gpm.solution.stacked.T
     g2 = bm.solution.stacked @ bm.solution.stacked.T

@@ -14,7 +14,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .model import PointCloud, PointCloudSet, SyntheticInstance, build_data_matr
 
 CLOUD_MODELS = ("uniform_cube", "standard_normal")
 METHODS = ("gpm_spectral", "gpm_random", "bm")
-
-PHASE_CSV_HEADER = "model,n,m,d,sigma,trials,successes,mean_iters,mean_df_truth,timeouts"
-
 
 def _check_cell(n: int, m: int, d: int, sigma: float) -> None:
     """An instance's shape and noise level: d >= 1, m >= d + 1, n >= 2, finite sigma >= 0."""
@@ -95,10 +92,10 @@ class CellSummary:
         return self.successes / self.trials
 
     def csv_row(self) -> str:
-        return (
-            f"{self.model},{self.n},{self.m},{self.d},{self.sigma!r},{self.trials},"
-            f"{self.successes},{self.mean_iters!r},{self.mean_df_truth!r},{self.timeouts}"
-        )
+        return ",".join(map(str, astuple(self)))
+
+
+PHASE_CSV_HEADER = ",".join(f.name for f in fields(CellSummary))
 
 
 def generate_instance(
@@ -165,7 +162,6 @@ def run_trial(
     instance: SyntheticInstance,
     method: str = "gpm_random",
     p: int | None = None,
-    seed: int | None = None,
     time_limit_s: float | None = 60.0,
 ) -> TrialResult:
     """Solve one instance and certify the outcome.
@@ -174,24 +170,21 @@ def run_trial(
     eigh or SVD) are recorded as failed trials, never raised.
     """
     _check_method(method, p)
-    seed = instance.seed if seed is None else seed
     has_shifts = bool(np.any(instance.shifts))
     gram = build_gram(instance.observed, center_first=has_shifts)
     t0 = time.perf_counter()
     try:
         if method == "bm":
-            p_eff = p if p is not None else 2 * instance.d + 1
-            cfg = BmConfig(p=p_eff, seed=seed, time_limit_s=time_limit_s)
+            cfg = BmConfig(p=p, seed=instance.seed, time_limit_s=time_limit_s)
             report = solve_bm(gram, cfg)
         else:
             init = "spectral" if method == "gpm_spectral" else "random"
             # The 1e-6 stopping tolerance is part of the measured protocol:
             # a tighter stop shifts the empirical phase transition upward.
-            cfg = GpmConfig(init=init, seed=seed, time_limit_s=time_limit_s)
+            cfg = GpmConfig(init=init, seed=instance.seed, time_limit_s=time_limit_s)
             d_init = build_data_matrix(instance.observed) if init == "spectral" else None
             report = solve(gram, cfg, d_for_init=d_init)
         cert = certify(gram, report.solution)
-        report.certificate = cert
         converged = report.converged
         certified = converged and cert.certified
         iterations = report.iterations
@@ -209,7 +202,7 @@ def run_trial(
         m=instance.m,
         d=instance.d,
         sigma=instance.sigma,
-        seed=seed,
+        seed=instance.seed,
         gpm_converged=converged,
         certified=certified,
         iterations=iterations,
@@ -234,9 +227,7 @@ def _run_cell(args) -> CellSummary:
         seed = trial_seed(grid.base_seed, n, m, sigma, trial)
         instance = generate_instance(grid.cloud_model, n, m, grid.d, sigma, seed=seed)
         results.append(
-            run_trial(
-                instance, method=method, p=p, seed=seed, time_limit_s=grid.time_limit_s
-            )
+            run_trial(instance, method=method, p=p, time_limit_s=grid.time_limit_s)
         )
     finite_df = [r.df_to_truth for r in results if math.isfinite(r.df_to_truth)]
     return CellSummary(

@@ -27,7 +27,7 @@ BACKTRACK = 0.5  # step shrink factor of the line search
 
 @dataclass(frozen=True)
 class BmConfig:
-    p: int  # columns per block, >= d (the benign-landscape regime is p >= 2d+1)
+    p: int | None = None  # columns per block, >= d; None takes 2d+1, the benign-landscape regime
     grad_tol: float = 1e-8  # stop when ||grad|| <= grad_tol * ||C||_F
     max_iter: int = 5000
     seed: int = 0
@@ -104,7 +104,8 @@ def solve_bm(
     The report's residual_history holds ||grad|| at every iterate, the start
     included, and converged says whether the last one is within tolerance.
     """
-    n, d, p = c.n, c.d, config.p
+    n, d = c.n, c.d
+    p = 2 * d + 1 if config.p is None else config.p
     if p < d:
         raise ValueError(f"p={p} must be at least d={d}")
     if init is not None:

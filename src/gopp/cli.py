@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bm", help="Stiefel-manifold gradient ascent")
     b.add_argument("input", help="cloud-set file")
-    b.add_argument("--p", type=int, help="columns per block (default 2d+1)")
+    b.add_argument("--p", type=int, default=BmConfig.p, help="columns per block (default 2d+1)")
     b.add_argument("--grad-tol", type=float, default=BmConfig.grad_tol)
     b.add_argument("--max-iter", type=int, default=BmConfig.max_iter)
     b.add_argument("--seed", type=int, default=BmConfig.seed)
@@ -225,8 +225,7 @@ def _cmd_certify(args) -> int:
 def _cmd_bm(args) -> int:
     clouds = read_cloud_set(args.input)
     gram = build_gram(clouds, center_first=args.center)
-    p = args.p if args.p is not None else 2 * clouds.d + 1
-    config = BmConfig(p=p, grad_tol=args.grad_tol, max_iter=args.max_iter, seed=args.seed)
+    config = BmConfig(p=args.p, grad_tol=args.grad_tol, max_iter=args.max_iter, seed=args.seed)
     report = solve_bm(gram, config)
     report.certificate = certify(gram, report.solution)
     _emit_json(report.to_json_dict(), args.out)

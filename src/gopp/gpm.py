@@ -3,9 +3,9 @@
 The iteration is S <- blockwise-polar(C S); one product C S per iterate
 gives both the step and the objective.  It starts from a given stack when the
 caller passes one, else from the spectral or a random start.  Stopping uses
-the Gram-image residual ||S_next S_next^T - S S^T||_F <= tol, from p x p
-products (:func:`gram_change`); the reported solution is gauge-fixed so its
-first block is [I_d | 0].
+the Gram-image residual ||S_next S_next^T - S S^T||_F <= tol, from a thin QR
+(:func:`gram_change`); the reported solution is gauge-fixed so its first
+block is [I_d | 0].
 """
 from __future__ import annotations
 

@@ -11,7 +11,6 @@ and truncated SVDs used everywhere else.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -117,27 +116,12 @@ class AlignmentResult:
     aligner: np.ndarray  # p x p orthogonal Q achieving min ||X - Y Q||_F
 
 
-def _apply_sign_convention(u: np.ndarray, vt: np.ndarray) -> None:
-    """Flip singular-pair signs so each left vector's largest entry is positive.
-
-    Ties break at the lowest index (argmax convention).  Operates in place.
-    """
-    for k in range(vt.shape[0]):
-        col = u[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0:
-            u[:, k] = -col
-            vt[k, :] = -vt[k, :]
-
-
 def polar(x: np.ndarray) -> np.ndarray:
     """Nearest row-orthonormal matrix to a d x p matrix x (p >= d).
 
     Returns U V^T from the thin SVD; the unique maximizer of <R, x> over the
     manifold whenever sigma_min(x) > 0.  Near-rank-deficient inputs trigger a
     :class:`RankDeficiencyWarning` but still return the SVD-based choice.
-    (Flipping a singular pair u_k, v_k together leaves U V^T unchanged, so no
-    sign convention is needed here.)
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -237,32 +221,15 @@ def df_squared_identity(x: StiefelStack, y: StiefelStack) -> tuple[float, float]
 
 
 def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
-    """||S' S'^T - S S^T||_F for two nd x p matrices, from p x p products only.
+    """||S' S'^T - S S^T||_F for two nd x p matrices, without an nd x nd product.
 
-    With Delta = S' - S the difference is S Delta^T + Delta S'^T, whose squared
-    norm is <S^T S, Delta^T Delta> + <S'^T S', Delta^T Delta>
-    + 2 tr((Delta^T S')(Delta^T S)).  Each term carries roundoff eps times
-    (||S||^2 + ||S'||^2) ||Delta||^2, so the sum is used while it is at least
-    1e-3 of that, as between successive solver iterates.  Below, the terms
-    cancel: the difference is [S Delta] K [S Delta]^T with
-    K = [[0, I], [I, I]], and from the R factor [A B] of a thin QR of
+    With Delta = S' - S the difference is [S Delta] K [S Delta]^T with
+    K = [[0, I], [I, I]].  From the R factor [A B] of a thin QR of
     [S Delta] the norm is ||A B^T + B (A + B)^T||_F, with roundoff
-    eps ||S|| ||Delta||.  A global rotation S' = S Q leaves the Gram matrix
-    unchanged with a large Delta; align S' to S first when such moves are
-    possible.
+    eps ||S|| ||Delta||.
     """
-    delta = s_new - s
-    dd = delta.T @ delta
-    gram, gram_new = s.T @ s, s_new.T @ s_new
-    sq = float(
-        np.sum(gram * dd)
-        + np.sum(gram_new * dd)
-        + 2.0 * np.trace((delta.T @ s_new) @ (delta.T @ s))
-    )
-    if sq >= 1e-3 * float(np.trace(gram) + np.trace(gram_new)) * float(np.trace(dd)):
-        return math.sqrt(sq)
     p = s.shape[1]
-    r = np.linalg.qr(np.hstack([s, delta]), mode="r")
+    r = np.linalg.qr(np.hstack([s, s_new - s]), mode="r")
     a, b = r[:, :p], r[:, p:]
     diff = a @ b.T
     diff += b @ (a + b).T
@@ -423,8 +390,7 @@ def top_d_left_singular(d_mat: np.ndarray, d: int) -> np.ndarray:
         raise ValueError(f"expected a matrix, got shape {d_mat.shape}")
     if d_mat.shape[0] < d or d_mat.shape[1] < d:
         raise ValueError(f"need at least d={d} rows and columns, got {d_mat.shape}")
-    u, s, vt = np.linalg.svd(d_mat, full_matrices=False)
-    _apply_sign_convention(u, vt)
+    u, s, _ = np.linalg.svd(d_mat, full_matrices=False)
     if len(s) > d and s[d - 1] - s[d] <= 1e-12 * max(s[0], 1e-300):
         warnings.warn(
             f"singular gap sigma_{d} - sigma_{d + 1} = {s[d - 1] - s[d]:.3e} is degenerate",

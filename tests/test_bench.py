@@ -16,7 +16,6 @@ from gopp.bench import (
     trial_seed,
     write_phase_csv,
 )
-from gopp.certificate import certify
 from gopp.gpm import GpmConfig, objective, solve
 from gopp.model import build_data_matrix, build_gram
 

@@ -358,6 +358,7 @@ class TestChoices:
         ("solve", "tol", gopp.gpm.GpmConfig, "tol"),
         ("solve", "max_iter", gopp.gpm.GpmConfig, "max_iter"),
         ("solve", "seed", gopp.gpm.GpmConfig, "seed"),
+        ("bm", "p", gopp.bm.BmConfig, "p"),
         ("bm", "grad_tol", gopp.bm.BmConfig, "grad_tol"),
         ("bm", "max_iter", gopp.bm.BmConfig, "max_iter"),
         ("bm", "seed", gopp.bm.BmConfig, "seed"),

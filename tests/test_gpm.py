@@ -12,7 +12,6 @@ from gopp.gpm import (
     estimate_rate,
     gauge_fix,
     gpm_step,
-    objective,
     random_init,
     solve,
     spectral_init,

@@ -1,4 +1,4 @@
-"""Checks on the package source and the scripts, not on their numbers."""
+"""Checks on the package source, the scripts and the tests, not on their numbers."""
 import ast
 import os
 import pathlib
@@ -8,7 +8,11 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "gopp").glob("*.py") if p.name != "__init__.py")
+SOURCES = [
+    *sorted(p for p in (ROOT / "src" / "gopp").glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +36,7 @@ def test_unused_import_is_found():
     assert unused_imports("from __future__ import annotations\nimport numpy as np\nnp.eye\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -46,3 +50,4 @@ def test_bm_vs_gpm_script_runs():
     )
     assert done.returncode == 0, done.stderr
     assert "power method:" in done.stdout
+    assert "(p=5)" in done.stdout  # the ascent's default p = 2d + 1 at d = 2
