@@ -215,7 +215,7 @@ def run_trial(
 
 def trial_seed(base_seed: int, n: int, m: int, sigma: float, trial: int) -> int:
     """Deterministic per-trial seed: base XOR 64-bit hash of cell coordinates."""
-    key = f"{n}|{m}|{sigma!r}|{trial}".encode()
+    key = f"{n}|{m}|{float(sigma)!r}|{trial}".encode()
     mix = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
     return (base_seed ^ mix) & (2**63 - 1)
 

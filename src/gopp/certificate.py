@@ -8,12 +8,12 @@ eigenvalues.  Numerically: stationarity residual below stat_tol and the
 
 Lambda - C is block diagonal minus D D^T, with D the nd x m factor of C, so
 nothing here forms an nd x nd matrix.  The multiplier and the stationarity
-residual share one product C S (O(nd m p)) and are always computed.  Each
-eigenvalue costs O(n d^3) once plus O(nd m^2 + m^3) per shift of a
-safeguarded bisection (typically 6 to 15 shifts, 2 or 3 for lambda_min at a
-stationary S), and is computed only when it is first read: :func:`certify`
-reads lambda_{d+1} only at a stationary S, and lambda_min only when
-lambda_{d+1} > psd_tol.
+residual share one product C S (O(nd m p)) and are always computed.  The
+blocks are decomposed once per certificate (O(n d^3)); each eigenvalue then
+costs O(nd m^2 + m^3) per shift of a safeguarded bisection (typically 6 to 15
+shifts, 2 or 3 for lambda_min at a stationary S), and is computed only when
+it is first read: :func:`certify` reads lambda_{d+1} only at a stationary S,
+and lambda_min only when lambda_{d+1} > psd_tol.
 """
 from __future__ import annotations
 
@@ -39,10 +39,10 @@ class Certificate:
     """The certificate of one stack; eigenvalues of Lambda - C are computed on first read.
 
     The residuals, the asymmetry and the verdict are set by :func:`certify`.
+    The other values are cached properties, so one that nothing reads costs
+    nothing: spectrum (one batched eigh of the blocks, shared by the rest),
     lambda_d_plus_1, lambda_min (smallest eigenvalue of Lambda - C, the PSD
-    check) and min_block_eig are cached properties over the symmetrized
-    blocks and the factor D, so a value that nothing reads costs nothing;
-    the eigenvalue searches are most of the certificate's cost.
+    check) and min_block_eig.
     """
 
     lambda_blocks: np.ndarray  # (n, d, d), symmetrized
@@ -53,17 +53,24 @@ class Certificate:
     verdict: Verdict
 
     @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, E = U^T D) from Lambda_ii = U_i diag(mu_i) U_i^T: Lambda - C is
+        orthogonally similar to diag(mu) - E E^T."""
+        mu, u = np.linalg.eigh(self.lambda_blocks)
+        e = u.transpose(0, 2, 1) @ self.factor.reshape(mu.shape + self.factor.shape[1:])
+        return mu.ravel(), e.reshape(self.factor.shape)
+
+    @cached_property
     def lambda_d_plus_1(self) -> float:
-        d = self.lambda_blocks.shape[1]
-        return lambda_kth_smallest(self.lambda_blocks, self.factor, d + 1)
+        return lambda_kth_smallest(*self.spectrum, self.lambda_blocks.shape[1] + 1)
 
     @cached_property
     def lambda_min(self) -> float:
-        return lambda_kth_smallest(self.lambda_blocks, self.factor, 1)
+        return lambda_kth_smallest(*self.spectrum, 1)
 
     @cached_property
     def min_block_eig(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.lambda_blocks)[:, 0]))
+        return float(self.spectrum[0].min())
 
     @property
     def certified(self) -> bool:

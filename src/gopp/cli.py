@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -27,6 +28,7 @@ from .bench import (
     write_phase_csv,
 )
 from .bm import BmConfig, solve_bm
+from . import certificate
 from .certificate import certify
 from .gpm import INIT_MODES, GpmConfig, NumericalError, solve
 from .model import (
@@ -139,8 +141,9 @@ def build_parser() -> _Parser:
     c = sub.add_parser("certify", help="certificate for a candidate stack")
     c.add_argument("clouds", help="cloud-set file defining C")
     c.add_argument("stack", help="stack file with the candidate S")
-    c.add_argument("--stat-tol", type=float, default=1e-6)
-    c.add_argument("--psd-tol", type=float, default=0.0)
+    tols = inspect.signature(certificate.certify).parameters  # a traced run wraps cli.certify
+    c.add_argument("--stat-tol", type=float, default=tols["stat_tol"].default)
+    c.add_argument("--psd-tol", type=float, default=tols["psd_tol"].default)
     c.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     c.add_argument("--out", help="JSON output path (default stdout)")
     _add_common(c)

@@ -6,8 +6,8 @@ synchronization objective.  This module provides the polar projection onto
 the orthogonal group / Stiefel manifold (blockwise from one batched eigh of
 the d x d Gram matrices, with the SVD for ill-conditioned blocks), the
 alignment distance d_F, the Gram-change residual ||S'S'^T - SS^T||_F from
-p x p products, the eigenvalues of block-diagonal minus low-rank matrices,
-and truncated SVDs used everywhere else.
+a thin QR, the eigenvalues of diagonal minus low-rank matrices, and
+truncated SVDs used everywhere else.
 """
 from __future__ import annotations
 
@@ -236,52 +236,42 @@ def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
     return float(np.linalg.norm(diff))
 
 
-def lambda_kth_smallest(blocks: np.ndarray, factor: np.ndarray, k: int) -> float:
-    """k-th smallest eigenvalue (1-based k) of blockdiag(blocks) - factor factor^T.
+def lambda_kth_smallest(mu: np.ndarray, e: np.ndarray, k: int) -> float:
+    """k-th smallest eigenvalue (1-based k) of diag(mu) - e e^T, mu (N,) and e N x m.
 
-    blocks is (n, d, d), each symmetric to 1e-10 (relative) and symmetrized
-    here; factor is nd x m.  The nd x nd matrix is never formed.  With
-    blocks = U diag(mu) U^T and E = U^T factor, Haynsworth inertia additivity
+    blockdiag(Lambda) - D D^T is this matrix up to an orthogonal similarity,
+    with Lambda_ii = U_i diag(mu_i) U_i^T and e = U^T D, so the caller
+    decomposes the blocks once for every k.  Haynsworth inertia additivity
     counts the eigenvalues below a shift t from the m x m Schur complement:
-    #{eig < t} = #{mu < t} + #neg(I_m - E^T diag(1/(mu - t)) E).  Bisection on
+    #{eig < t} = #{mu < t} + #neg(I_m - e^T diag(1/(mu - t)) e).  Bisection on
     this count, with safeguarded Newton steps on the Schur complement's
     eigenvalue, narrows a bracket of the eigenvalue to 4 eps (max|mu| +
-    ||factor||_2^2), the accuracy of a dense eigensolve.  Each shift costs
-    O(nd m^2 + m^3), after one O(n d^3) batched eigh of the blocks.  The
-    first shift is 0 when 0 lies more than the accuracy inside the bracket,
-    and its midpoint otherwise: at a stationary point of the synchronization
-    problem, Lambda - C has d eigenvalues within roundoff of 0, and lambda_1
-    then takes 2 or 3 shifts instead of 7 to 9.
-    Coinciding block eigenvalues are merged first, and those next to a
-    shift are not inverted (see _merge_poles and _schur_count), so repeated
-    block eigenvalues and shifts on them keep that accuracy.
+    ||e||_2^2), the accuracy of a dense eigensolve, at O(N m^2 + m^3) per
+    shift.  The first shift is 0 when 0 lies more than the accuracy inside
+    the bracket, and its midpoint otherwise: at a stationary point of the
+    synchronization problem, Lambda - C has d eigenvalues within roundoff of
+    0, and lambda_1 then takes 2 or 3 shifts instead of 7 to 9.  Coinciding
+    values of mu are merged first, and those next to a shift are not
+    inverted (see _merge_poles and _schur_count), so they keep that accuracy.
     """
-    blocks = np.asarray(blocks, dtype=float)
-    factor = np.asarray(factor, dtype=float)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"expected (n, d, d) blocks, got shape {blocks.shape}")
-    n, d, _ = blocks.shape
-    if factor.ndim != 2 or factor.shape[0] != n * d:
-        raise ValueError(f"expected a factor of shape ({n * d}, m), got {factor.shape}")
-    asym = np.linalg.norm(blocks - blocks.transpose(0, 2, 1), axis=(1, 2))
-    if np.any(asym > 1e-10 * np.maximum(1.0, np.linalg.norm(blocks, axis=(1, 2)))):
-        raise ValueError("blocks are not symmetric within tolerance")
-    if not 1 <= k <= n * d:
-        raise ValueError(f"k={k} out of range for N={n * d}")
-    mu, u = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
-    m = factor.shape[1]
-    ranked = np.sort(mu, axis=None)
+    mu = np.asarray(mu, dtype=float)
+    e = np.asarray(e, dtype=float)
+    if mu.ndim != 1 or e.ndim != 2 or e.shape[0] != len(mu):
+        raise ValueError(f"expected mu (N,) and e (N, m), got shapes {mu.shape} and {e.shape}")
+    if not 1 <= k <= len(mu):
+        raise ValueError(f"k={k} out of range for N={len(mu)}")
+    m = e.shape[1]
+    ranked = np.sort(mu)
     if m == 0:
         return float(ranked[k - 1])
-    e = (u.transpose(0, 2, 1) @ factor.reshape(n, d, m)).reshape(n * d, m)
-    sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||factor||_2^2
+    sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||e||_2^2
     scale = float(np.max(np.abs(mu))) + sigma2
     tol = 4.0 * np.finfo(float).eps * scale
     # Weyl and rank-m interlacing: mu_(k) - sigma2 <= lambda_k <= mu_(k), and
     # lambda_k >= mu_(k-m) when k > m.
     hi = float(ranked[k - 1])
     lo = hi - sigma2 if k <= m else max(hi - sigma2, float(ranked[k - m - 1]))
-    poles = _merge_poles(mu.ravel(), e, tol)
+    poles = _merge_poles(mu, e, tol)
     t = 0.0 if lo + tol < 0.0 < hi - tol else 0.5 * (lo + hi)
     step = step_old = hi - lo
     while hi - lo > tol:

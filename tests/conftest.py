@@ -25,6 +25,14 @@ def dense_gap(blocks, factor):
     return mat
 
 
+def block_spectrum(blocks, factor):
+    """(mu, E = U^T factor) of blocks = U diag(mu) U^T: the inputs of lambda_kth_smallest."""
+    n, d, _ = blocks.shape
+    mu, u = np.linalg.eigh(blocks)
+    e = u.transpose(0, 2, 1) @ factor.reshape(n, d, factor.shape[1])
+    return mu.ravel(), e.reshape(factor.shape)
+
+
 def dense_gram(c):
     """The dense oracle C = D D^T of a GramMatrix, O((nd)^2) memory."""
     return c.factor @ c.factor.T

@@ -197,6 +197,12 @@ class TestPhaseDiagram:
         b = phase_diagram(grid, method="gpm_random")
         assert [r.csv_row() for r in a] == [r.csv_row() for r in b]
 
+    def test_numpy_sigmas_run_the_same_trials(self):
+        sigmas = (0.2, 0.6)
+        rows = phase_diagram(self.small_grid(sigmas), method="gpm_random")
+        np_rows = phase_diagram(self.small_grid(tuple(np.array(sigmas))), method="gpm_random")
+        assert [r.csv_row() for r in np_rows] == [r.csv_row() for r in rows]
+
     def test_success_roughly_monotone_in_noise(self):
         grid = self.small_grid((0.1, 0.5, 1.0, 2.0, 4.0), trials=8, seed=1)
         rows = phase_diagram(grid, method="gpm_random")

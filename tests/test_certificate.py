@@ -202,9 +202,9 @@ def searches(monkeypatch):
     """The k of every lambda_kth_smallest call that certify's module makes, in order."""
     calls = []
 
-    def counted(blocks, factor, k):
+    def counted(mu, e, k):
         calls.append(k)
-        return lambda_kth_smallest(blocks, factor, k)
+        return lambda_kth_smallest(mu, e, k)
 
     monkeypatch.setattr("gopp.certificate.lambda_kth_smallest", counted)
     return calls
@@ -224,6 +224,16 @@ class TestLazyEigenvalues:
             assert getattr(cert, name) == first and vars(cert)[name] == first
             assert searches == calls
 
+    def test_min_block_eig_first_starts_no_search(self, rng, searches):
+        inst = generate_instance("uniform_cube", 8, 10, 3, 0.3, seed=3)
+        gram = build_gram(inst.observed, center_first=False)
+        cert = certify(gram, random_stack(rng, 8, 3))
+        assert "spectrum" not in vars(cert)
+        assert cert.min_block_eig == np.min(vars(cert)["spectrum"][0])
+        assert searches == []
+        cert.lambda_min
+        assert searches == [1]
+
     def test_gap_below_psd_tol_skips_lambda_min(self, searches):
         gram, s = solved_certified()
         cert = certify(gram, s, psd_tol=1e300)
@@ -238,6 +248,26 @@ class TestLazyEigenvalues:
         assert searches == [4, 1]
         cert.to_json_dict()
         assert searches == [4, 1]
+
+    @pytest.mark.parametrize("case", ["solved", "random"])
+    def test_blocks_decomposed_once_and_only_when_read(self, rng, monkeypatch, case):
+        gram, s = solved_certified()
+        if case == "random":
+            s = random_stack(rng, gram.n, gram.d)
+        decompositions = []  # batched eigh / eigvalsh calls on (n, d, d) stacks
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, name=name, original=original, **kwargs):
+                if np.ndim(a) == 3:
+                    decompositions.append(name)
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cert = certify(gram, s)
+        assert decompositions == ([] if case == "random" else ["eigh"])
+        cert.to_json_dict()
+        assert decompositions == ["eigh"]
 
     @pytest.mark.parametrize(
         "case, verdict",
@@ -358,9 +388,9 @@ def test_factored_eigenvalues_match_dense(n, d, wide, extra_m, sigma, model, cen
         s = random_stack(rng, n, d, p)
     verdict, blocks, eigs, residual = dense_certify(gram, s)
     scale = np.max(np.abs(np.linalg.eigvalsh(blocks))) + gram.spectral_norm()
-    for k in range(1, n * d + 1):
-        assert abs(lambda_kth_smallest(blocks, gram.factor, k) - eigs[k - 1]) <= 1e-11 * scale
     cert = certify(gram, s)
+    for k in range(1, n * d + 1):
+        assert abs(lambda_kth_smallest(*cert.spectrum, k) - eigs[k - 1]) <= 1e-11 * scale
     # A verdict is decided only up to the accuracy of what it compares.
     undecided = (
         min(abs(eigs[d]), abs(eigs[0] + 1e-6)) <= 1e-11 * scale

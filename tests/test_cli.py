@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import dataclasses
+import inspect
 import json
 import re
 import tempfile
@@ -362,6 +363,8 @@ class TestChoices:
         ("bm", "grad_tol", gopp.bm.BmConfig, "grad_tol"),
         ("bm", "max_iter", gopp.bm.BmConfig, "max_iter"),
         ("bm", "seed", gopp.bm.BmConfig, "seed"),
+        ("certify", "stat_tol", gopp.cli.certify, "stat_tol"),
+        ("certify", "psd_tol", gopp.cli.certify, "psd_tol"),
         ("phase", "model", gopp.bench.PhaseGrid, "cloud_model"),
         ("phase", "d", gopp.bench.PhaseGrid, "d"),
         ("phase", "m", gopp.bench.PhaseGrid, "m_list"),
@@ -373,9 +376,17 @@ class TestChoices:
     ],
 )
 def test_cli_default_is_the_library_default(command, dest, config, field):
-    required = {"solve": ["in.txt"], "bm": ["in.txt"], "phase": ["--out", "out.csv"]}
+    required = {
+        "solve": ["in.txt"],
+        "certify": ["clouds.txt", "stack.txt"],
+        "bm": ["in.txt"],
+        "phase": ["--out", "out.csv"],
+    }
     args = gopp.cli.build_parser().parse_args([command, *required[command]])
-    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    if dataclasses.is_dataclass(config):
+        defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    else:
+        defaults = {k: v.default for k, v in inspect.signature(config).parameters.items()}
     assert getattr(args, dest) == defaults[field]
 
 

@@ -26,7 +26,7 @@ from gopp.linops import (
 )
 from gopp.model import build_gram
 
-from conftest import dense_gap, random_orthogonal, random_stack, random_tangent
+from conftest import block_spectrum, dense_gap, random_orthogonal, random_stack, random_tangent
 
 
 def conditioned_blocks(rng, n, d, p, log_kappa, log_scale=0.0):
@@ -271,8 +271,7 @@ class TestDfIdentities:
 
 class TestLambdaKthSmallest:
     def test_diagonal(self):
-        blocks = np.array([[[1.0]], [[2.0]], [[3.0]]])
-        assert lambda_kth_smallest(blocks, np.zeros((3, 0)), 2) == 2.0
+        assert lambda_kth_smallest(np.array([1.0, 2.0, 3.0]), np.zeros((3, 0)), 2) == 2.0
 
     def test_laplacian_kron_identity(self):
         # Eigenvalues of (n I - J) x I_d enumerate as d zeros then n's.
@@ -285,23 +284,25 @@ class TestLambdaKthSmallest:
             for mu in np.ones(d)
         )
         assert abs(enumerated[d] - n) <= 1e-10
-        assert abs(lambda_kth_smallest(blocks, factor, d + 1) - n) <= 1e-10
+        assert abs(lambda_kth_smallest(*block_spectrum(blocks, factor), d + 1) - n) <= 1e-10
 
     def test_matches_full_spectrum(self, rng):
         a = rng.standard_normal((6, 6))
         blocks = 0.5 * (a + a.T)[None]
         factor = rng.standard_normal((6, 2))
         full = np.sort(np.linalg.eigvalsh(dense_gap(blocks, factor)))
+        mu, e = block_spectrum(blocks, factor)
         for k in range(1, 7):
-            assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-12
-
-    def test_rejects_asymmetric(self, rng):
-        with pytest.raises(ValueError, match="symmetric"):
-            lambda_kth_smallest(rng.standard_normal((1, 4, 4)), np.zeros((4, 1)), 1)
+            assert abs(lambda_kth_smallest(mu, e, k) - full[k - 1]) <= 1e-12
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            lambda_kth_smallest(np.eye(2)[None], np.zeros((2, 1)), 3)
+            lambda_kth_smallest(np.ones(2), np.zeros((2, 1)), 3)
+
+    @pytest.mark.parametrize("mu_shape, e_shape", [((1, 2), (2, 1)), ((2,), (3, 1)), ((2,), (2,))])
+    def test_rejects_mismatched_shapes(self, mu_shape, e_shape):
+        with pytest.raises(ValueError, match="expected mu"):
+            lambda_kth_smallest(np.ones(mu_shape), np.zeros(e_shape), 1)
 
     def test_shift_on_a_block_eigenvalue(self):
         # Block eigenvalues 1, 2, 3 and ||F||_2^2 = 2: for k = 3 the bracket is
@@ -312,9 +313,10 @@ class TestLambdaKthSmallest:
         factor = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         expected = [1.0 - np.sqrt(2.0), 1.0, 1.0 + np.sqrt(2.0)]
         assert np.allclose(np.linalg.eigvalsh(dense_gap(blocks, factor)), expected, atol=1e-14)
+        mu = blocks.ravel()  # 1 x 1 blocks are their eigenvalues, and E = factor
         with np.errstate(divide="raise", invalid="raise"):
             for k in range(1, 4):
-                assert abs(lambda_kth_smallest(blocks, factor, k) - expected[k - 1]) <= 1e-12
+                assert abs(lambda_kth_smallest(mu, factor, k) - expected[k - 1]) <= 1e-12
 
 
     def test_shift_next_to_a_block_eigenvalue(self):
@@ -325,7 +327,7 @@ class TestLambdaKthSmallest:
         factor = np.array([[0.0, 0.0, 0.0], [-1.0, 0.1, 1.0], [0.0, 0.0, 0.0], [0.4, 0.0, 0.5]])
         full = np.linalg.eigvalsh(dense_gap(blocks, factor))
         for k in range(1, 5):
-            assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-12
+            assert abs(lambda_kth_smallest(blocks.ravel(), factor, k) - full[k - 1]) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -356,8 +358,9 @@ class TestLambdaKthSmallest:
         full = np.linalg.eigvalsh(dense_gap(blocks, factor))
         scale = np.max(np.abs(np.linalg.eigvalsh(blocks))) + np.linalg.norm(factor, 2) ** 2
         with np.errstate(divide="raise", invalid="raise", over="raise"):
+            mu, e = block_spectrum(blocks, factor)
             for k in range(1, n * d + 1):
-                assert abs(lambda_kth_smallest(blocks, factor, k) - full[k - 1]) <= 1e-11 * scale
+                assert abs(lambda_kth_smallest(mu, e, k) - full[k - 1]) <= 1e-11 * scale
 
 
     def test_lambda_min_at_a_certified_stack_starts_at_zero(self, monkeypatch):
@@ -376,7 +379,7 @@ class TestLambdaKthSmallest:
             return schur_count(mu, e, norms, exact, t, k)
 
         monkeypatch.setattr(linops, "_schur_count", counted)
-        lam_min = lambda_kth_smallest(cert.lambda_blocks, gram.factor, 1)
+        lam_min = lambda_kth_smallest(*cert.spectrum, 1)
         assert 1 <= len(counts) <= 3 and counts[0] == 0.0
         assert lam_min == pytest.approx(cert.lambda_min, abs=1e-11 * gram.spectral_norm())
 
