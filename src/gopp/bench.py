@@ -26,6 +26,7 @@ from .model import PointCloud, PointCloudSet, SyntheticInstance, build_data_matr
 
 CLOUD_MODELS = ("uniform_cube", "standard_normal")
 METHODS = ("gpm_spectral", "gpm_random", "bm")
+CROSSING_LEVEL = 0.5  # the success fraction whose crossing sigma gopp phase reports
 
 def _check_cell(n: int, m: int, d: int, sigma: float) -> None:
     """An instance's shape and noise level: d >= 1, m >= d + 1, n >= 2, finite sigma >= 0."""
@@ -71,7 +72,7 @@ class TrialResult:
     df_to_truth: float
     runtime_ms: float
     timeout: bool = False
-    method: str = "gpm_random"
+    method: str = "gpm_random"  # the default method of run_trial, phase_diagram and gopp phase
 
 
 @dataclass
@@ -160,9 +161,9 @@ def _check_method(method: str, p: int | None) -> None:
 
 def run_trial(
     instance: SyntheticInstance,
-    method: str = "gpm_random",
+    method: str = TrialResult.method,
     p: int | None = None,
-    time_limit_s: float | None = 60.0,
+    time_limit_s: float | None = PhaseGrid.time_limit_s,
 ) -> TrialResult:
     """Solve one instance and certify the outcome.
 
@@ -246,7 +247,7 @@ def _run_cell(args) -> CellSummary:
 
 def phase_diagram(
     grid: PhaseGrid,
-    method: str = "gpm_random",
+    method: str = TrialResult.method,
     p: int | None = None,
     workers: int = 1,
 ) -> list[CellSummary]:
@@ -273,10 +274,10 @@ def write_phase_csv(path, rows: list[CellSummary]) -> None:
             fh.write(row.csv_row() + "\n")
 
 
-def crossing_sigma(rows: list[CellSummary], level: float = 0.5) -> float | None:
-    """Linear-interpolated sigma at which the success fraction crosses `level`."""
+def crossing_sigma(rows: list[CellSummary]) -> float | None:
+    """Linear-interpolated sigma at which the success fraction crosses CROSSING_LEVEL."""
     pts = sorted((r.sigma, r.success_fraction) for r in rows)
     for (s0, f0), (s1, f1) in zip(pts, pts[1:]):
-        if (f0 - level) * (f1 - level) <= 0 and f0 != f1:
-            return s0 + (f0 - level) * (s1 - s0) / (f0 - f1)
+        if (f0 - CROSSING_LEVEL) * (f1 - CROSSING_LEVEL) <= 0 and f0 != f1:
+            return s0 + (f0 - CROSSING_LEVEL) * (s1 - s0) / (f0 - f1)
     return None

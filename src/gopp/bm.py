@@ -2,9 +2,10 @@
 
 Maximizes <C, S S^T> by Riemannian gradient ascent with polar retraction:
 alternating Barzilai-Borwein trial steps, a grow rule where they are
-undefined, and Armijo backtracking as the safeguard.  At p = d this is the
-original orthogonal-block problem; at p = nd it attains the convex
-relaxation's value.
+undefined, and Armijo backtracking as the only line search.  Each trial
+point is one blockwise polar of S + step * grad, which cannot lose rank
+since grad is tangent.  At p = d this is the original orthogonal-block
+problem; at p = nd it attains the convex relaxation's value.
 C enters only through its norms and one product ``c @ S`` per point.
 """
 from __future__ import annotations
@@ -59,25 +60,18 @@ def riemannian_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
 
 
 def retract(s: StiefelStack, t: np.ndarray, step: float) -> StiefelStack:
-    """Polar retraction of S + step * T back onto the manifold.
+    """Polar retraction of S + step * T back onto the manifold; T must be tangent at S.
 
     For T tangent at S, (S_i + step T_i)(S_i + step T_i)^T = I + step^2 T_i T_i^T
-    has no eigenvalue below 1, so no block can lose rank; a rank-deficient
-    block arises only for a non-tangent T, and is handled by halving the step
-    until the polar factor is unique again.
+    has no eigenvalue below 1, so no block can lose rank.  A non-tangent T
+    can empty a block; :func:`polar_blockwise` then warns
+    :class:`RankDeficiencyWarning`.
     """
     if step < 0:
         raise ValueError("step must be nonnegative")
     if step == 0.0:
         return s
-    for _ in range(60):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RankDeficiencyWarning)
-            out = polar_blockwise(s.blocks + step * t)
-        if not any(issubclass(w.category, RankDeficiencyWarning) for w in caught):
-            return out
-        step *= 0.5
-    raise NumericalError("retraction failed: persistent rank deficiency")
+    return polar_blockwise(s.blocks + step * t)
 
 
 def solve_bm(
@@ -129,43 +123,46 @@ def solve_bm(
     converged = residual_history[-1] <= tol
     timed_out = stalled = False
     iterations = 0
-    while not (converged or timed_out) and iterations < config.max_iter:
-        # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
-        gnorm = residual_history[-1]
-        slope = 2.0 * gnorm * gnorm
-        step = eta
-        while True:
-            s_new = retract(s, grad, step)
-            f_new, grad_new = evaluate(s_new)
-            if not math.isfinite(f_new):
-                raise NumericalError("objective became non-finite during ascent")
-            # Where f cannot resolve the change, the slope at s_new is tested instead.
-            if f_new >= f + ARMIJO_C * step * slope or (
-                abs(f_new - f) <= 8.0 * EPS * abs(f)
-                and 2.0 * float(np.sum(grad_new * grad)) >= (2.0 * ARMIJO_C - 1.0) * slope
-            ):
+    with warnings.catch_warnings():
+        # A tangent step cannot empty a block; see retract.
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        while not (converged or timed_out) and iterations < config.max_iter:
+            # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
+            gnorm = residual_history[-1]
+            slope = 2.0 * gnorm * gnorm
+            step = eta
+            while True:
+                s_new = retract(s, grad, step)
+                f_new, grad_new = evaluate(s_new)
+                if not math.isfinite(f_new):
+                    raise NumericalError("objective became non-finite during ascent")
+                # Where f cannot resolve the change, the slope at s_new is tested instead.
+                if f_new >= f + ARMIJO_C * step * slope or (
+                    abs(f_new - f) <= 8.0 * EPS * abs(f)
+                    and 2.0 * float(np.sum(grad_new * grad)) >= (2.0 * ARMIJO_C - 1.0) * slope
+                ):
+                    break
+                step *= BACKTRACK
+                if step < 1e-20:
+                    stalled = True  # no trial step is accepted: S cannot move
+                    break
+            if stalled:
                 break
-            step *= BACKTRACK
-            if step < 1e-20:
-                stalled = True  # no trial step is accepted: S cannot move
-                break
-        if stalled:
-            break
-        # Next trial step: BB1 after even iterations, BB2 after odd ones.
-        ds = s_new.blocks - s.blocks
-        dg = grad_new - grad
-        sy, yy = abs(float(np.sum(ds * dg))), float(np.sum(dg * dg))
-        bb = math.nan
-        if sy > 0 and yy > 0:
-            bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
-        eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
-        s, f, grad = s_new, f_new, grad_new
-        residual_history.append(float(np.linalg.norm(grad)))
-        objective_history.append(f)
-        iterations += 1
-        converged = residual_history[-1] <= tol
-        limit = config.time_limit_s
-        timed_out = not converged and limit is not None and time.monotonic() - start > limit
+            # Next trial step: BB1 after even iterations, BB2 after odd ones.
+            ds = s_new.blocks - s.blocks
+            dg = grad_new - grad
+            sy, yy = abs(float(np.sum(ds * dg))), float(np.sum(dg * dg))
+            bb = math.nan
+            if sy > 0 and yy > 0:
+                bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
+            eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
+            s, f, grad = s_new, f_new, grad_new
+            residual_history.append(float(np.linalg.norm(grad)))
+            objective_history.append(f)
+            iterations += 1
+            converged = residual_history[-1] <= tol
+            limit = config.time_limit_s
+            timed_out = not converged and limit is not None and time.monotonic() - start > limit
     return SolveReport(
         solution=s,
         iterations=iterations,

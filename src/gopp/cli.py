@@ -169,7 +169,8 @@ def build_parser() -> _Parser:
                     help="comma-separated noise levels")
     ph.add_argument("--trials", type=int, default=PhaseGrid.trials_per_cell)
     ph.add_argument("--seed", type=int, default=PhaseGrid.base_seed)
-    ph.add_argument("--method", choices=METHODS, default="gpm_random")
+    ph.add_argument("--method", choices=METHODS,
+                    default=inspect.signature(phase_diagram).parameters["method"].default)
     ph.add_argument("--p", type=int, help="columns per block for method=bm")
     ph.add_argument("--time-limit", type=float, default=PhaseGrid.time_limit_s,
                     help="per-trial cap in seconds")
@@ -211,8 +212,9 @@ def _cmd_solve(args) -> int:
     config = GpmConfig(tol=args.tol, max_iter=args.max_iter, init=args.init, seed=args.seed)
     d_init = build_data_matrix(clouds) if args.init == "spectral" else None
     report = solve(gram, config, d_for_init=d_init)
-    report.certificate = certify(gram, report.solution)
-    _emit_json(report.to_json_dict(), args.out)
+    doc = report.to_json_dict()
+    doc["certificate"] = certify(gram, report.solution).to_json_dict()
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
@@ -230,8 +232,9 @@ def _cmd_bm(args) -> int:
     gram = build_gram(clouds, center_first=args.center)
     config = BmConfig(p=args.p, grad_tol=args.grad_tol, max_iter=args.max_iter, seed=args.seed)
     report = solve_bm(gram, config)
-    report.certificate = certify(gram, report.solution)
-    _emit_json(report.to_json_dict(), args.out)
+    doc = report.to_json_dict()
+    doc["certificate"] = certify(gram, report.solution).to_json_dict()
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 

@@ -66,7 +66,8 @@ class SolveReport:
     residual_history holds the quantity the solver's stop rule compares with
     its tolerance: the Gram change ||S' S'^T - S S^T||_F of each power step
     for :func:`solve`, the Riemannian gradient norm at each iterate for
-    :func:`gopp.bm.solve_bm`.
+    :func:`gopp.bm.solve_bm`.  The report holds no certificate; the CLI
+    appends one to the JSON it emits.
     """
 
     solution: StiefelStack
@@ -75,7 +76,6 @@ class SolveReport:
     objective_history: list[float]
     converged: bool
     iterates: list[StiefelStack] | None = None
-    certificate: object = None
     timed_out: bool = False
 
     @property
@@ -83,7 +83,7 @@ class SolveReport:
         return [float(v) for v in np.linalg.svd(self.solution.stacked, compute_uv=False)]
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "version": 1,
             "converged": self.converged,
             "timed_out": self.timed_out,
@@ -99,9 +99,6 @@ class SolveReport:
             "p": self.solution.p,
             "singular_values_of_S": self.singular_values_of_s,
         }
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_json_dict()
-        return doc
 
 
 def objective(c: GramMatrix, s: StiefelStack) -> float:
@@ -205,9 +202,10 @@ def solve(
 
 # d_F values below this floor are treated as numerical zero in the rate fit.
 RATE_FLOOR = 1e-12
+RATE_WINDOW = 10  # the rate fit uses the last RATE_WINDOW iterates above the floor
 
 
-def estimate_rate(report: SolveReport, reference: StiefelStack, window: int = 10) -> float:
+def estimate_rate(report: SolveReport, reference: StiefelStack) -> float:
     """Empirical linear rate: LS slope of log d_F(S^t, reference) (final window).
 
     Returns 0 by convention when the trajectory sits at the numerical floor
@@ -221,6 +219,6 @@ def estimate_rate(report: SolveReport, reference: StiefelStack, window: int = 10
     if len(above) < 3:
         # Floored (almost) immediately: exact fixed point, rate 0 by convention.
         return 0.0
-    idx = above[-min(window, len(above)) :]
+    idx = above[-RATE_WINDOW:]
     slope = np.polyfit(idx.astype(float), np.log(dists[idx]), 1)[0]
     return float(np.exp(slope))

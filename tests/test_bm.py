@@ -1,4 +1,6 @@
 """Unit tests for the Stiefel-manifold ascent."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from gopp.bm import (
 )
 from gopp.certificate import certify
 from gopp.gpm import GpmConfig, SolveReport, objective, solve
-from gopp.linops import StiefelStack
+from gopp.linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from gopp.model import build_data_matrix, build_gram
 
 from conftest import dense_gram, random_orthogonal, random_stack, random_tangent
@@ -126,6 +128,21 @@ class TestRetract:
         s = random_stack(rng, 2, 2, 3)
         with pytest.raises(ValueError):
             retract(s, random_tangent(rng, s), -1.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 1.0, 1e6])
+    def test_tangent_step_is_one_polar_without_warning(self, rng, h):
+        s = random_stack(rng, 4, 3, 7)
+        t = random_tangent(rng, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = retract(s, t, h)
+        assert np.array_equal(out.blocks, polar_blockwise(s.blocks + h * t).blocks)
+
+    def test_non_tangent_step_that_empties_a_block_warns(self, rng):
+        # T = -S is normal, not tangent: S + T = 0 has no unique polar factor.
+        s = random_stack(rng, 2, 2, 3)
+        with pytest.warns(RankDeficiencyWarning):
+            retract(s, -s.blocks, 1.0)
 
 
 class TestSolveBm:

@@ -373,6 +373,7 @@ class TestChoices:
         ("phase", "trials", gopp.bench.PhaseGrid, "trials_per_cell"),
         ("phase", "seed", gopp.bench.PhaseGrid, "base_seed"),
         ("phase", "time_limit", gopp.bench.PhaseGrid, "time_limit_s"),
+        ("phase", "method", gopp.bench.phase_diagram, "method"),
     ],
 )
 def test_cli_default_is_the_library_default(command, dest, config, field):

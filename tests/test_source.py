@@ -1,4 +1,4 @@
-"""Checks on the package source, the scripts and the tests, not on their numbers."""
+"""Checks on the package source, the scripts, the tests and the benchmark, not on their numbers."""
 import ast
 import os
 import pathlib
@@ -12,6 +12,7 @@ SOURCES = [
     *sorted(p for p in (ROOT / "src" / "gopp").glob("*.py") if p.name != "__init__.py"),
     *sorted((ROOT / "scripts").glob("*.py")),
     *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "benchmark").glob("*.py")),
 ]
 
 
@@ -41,12 +42,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_bm_vs_gpm_script_runs():
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_gopp_loads_every_library_module():
+    # benchmark/run.py counts `import gopp` in its set-up time as numpy and every gopp module.
+    code = "import sys, gopp; print(*sorted(m for m in sys.modules if m.startswith('gopp.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        f"gopp.{name}" for name in ("bench", "bm", "certificate", "gpm", "linops", "model")
+    ]
+
+
+def test_bm_vs_gpm_script_runs():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bm_vs_gpm.py"), "--n", "10", "--m", "8", "--d", "2"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert "power method:" in done.stdout
