@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import multiplier_residual
 from .gpm import NumericalError, SolveReport, check_time_limit, random_init
 from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
 from .model import GramMatrix
@@ -42,21 +43,15 @@ class BmConfig:
         check_time_limit(self.time_limit_s)
 
 
-def tangent_project_stack(s: StiefelStack, g: np.ndarray) -> np.ndarray:
-    """Blockwise projection onto the tangent space at S: g_i - sym(g_i S_i^T) S_i."""
-    sym = 0.5 * (g @ s.blocks.transpose(0, 2, 1) + s.blocks @ g.transpose(0, 2, 1))
-    return g - sym @ s.blocks
-
-
 def riemannian_gradient(c: GramMatrix, s: StiefelStack) -> np.ndarray:
-    """Tangent projection of sum_j C_ij S_j (half the ambient gradient).
+    """Tangent projection of sum_j C_ij S_j (half the ambient gradient), as (n, d, p) blocks.
 
-    Vanishes exactly at first-order critical points; kept at this
-    normalization so its norm is directly comparable with the stationarity
-    residual of the dual certificate.
+    This is minus the dual certificate's stationarity residual (Lambda - C) S,
+    taken from :func:`multiplier_residual`, so it vanishes exactly at
+    first-order critical points and its norm is the certificate's
+    stationarity_residual_fro.
     """
-    g = (c @ s.stacked).reshape(s.n, s.d, s.p)
-    return tangent_project_stack(s, g)
+    return -multiplier_residual(c @ s.stacked, s)[2].reshape(s.n, s.d, s.p)
 
 
 def retract(s: StiefelStack, t: np.ndarray, step: float) -> StiefelStack:
@@ -96,7 +91,8 @@ def solve_bm(
     condition of Hager and Zhang (SIAM J. Optim., 2005) instead:
     2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below 1e-20 ends the ascent.
     The report's residual_history holds ||grad|| at every iterate, the start
-    included, and converged says whether the last one is within tolerance.
+    included: the certificate's stationarity_residual_fro, ||(Lambda - C) S||_F,
+    at that iterate.  converged says whether the last one is within tolerance.
     """
     n, d = c.n, c.d
     p = 2 * d + 1 if config.p is None else config.p
@@ -114,7 +110,7 @@ def solve_bm(
     def evaluate(s: StiefelStack) -> tuple[float, np.ndarray]:
         """The objective and the Riemannian gradient at S, both from one product C S."""
         cs = c @ s.stacked
-        return float(np.sum(cs * s.stacked)), tangent_project_stack(s, cs.reshape(n, d, p))
+        return float(np.sum(cs * s.stacked)), -multiplier_residual(cs, s)[2].reshape(n, d, p)
 
     start = time.monotonic()
     f, grad = evaluate(s)

@@ -8,12 +8,14 @@ eigenvalues.  Numerically: stationarity residual below stat_tol and the
 
 Lambda - C is block diagonal minus D D^T, with D the nd x m factor of C, so
 nothing here forms an nd x nd matrix.  The multiplier and the stationarity
-residual share one product C S (O(nd m p)) and are always computed.  The
-blocks are decomposed once per certificate (O(n d^3)); each eigenvalue then
-costs O(nd m^2 + m^3) per shift of a safeguarded bisection (typically 6 to 15
-shifts, 2 or 3 for lambda_min at a stationary S), and is computed only when
-it is first read: :func:`certify` reads lambda_{d+1} only at a stationary S,
-and lambda_min only when lambda_{d+1} > psd_tol.
+residual share one product C S (O(nd m p)) and are always computed, in
+:func:`multiplier_residual`; the ascent in :mod:`gopp.bm` takes its gradient
+from it too, as minus the residual (Lambda - C) S.  The blocks are decomposed
+once per certificate (O(n d^3)); each eigenvalue then costs O(nd m^2 + m^3)
+per shift of a safeguarded bisection (typically 6 to 15 shifts, 2 or 3 for
+lambda_min at a stationary S), and is computed only when it is first read:
+:func:`certify` reads lambda_{d+1} only at a stationary S, and lambda_min
+only when lambda_{d+1} > psd_tol.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import StiefelStack, lambda_kth_smallest
+from .linops import StiefelStack, fro_norm, lambda_kth_smallest
 from .model import GramMatrix, SyntheticInstance
 
 
@@ -98,6 +100,13 @@ def build_lambda(cs: np.ndarray, s: StiefelStack) -> np.ndarray:
     return cs.reshape(s.n, s.d, s.p) @ s.blocks.transpose(0, 2, 1)
 
 
+def multiplier_residual(cs: np.ndarray, s: StiefelStack) -> tuple[np.ndarray, ...]:
+    """(raw Lambda blocks, symmetrized blocks, (Lambda - C) S in cs's shape) from cs = C S."""
+    raw = build_lambda(cs, s)
+    blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
+    return raw, blocks, (blocks @ s.blocks).reshape(cs.shape) - cs
+
+
 def certify(
     c: GramMatrix,
     s: StiefelStack,
@@ -111,20 +120,14 @@ def certify(
         raise ValueError(f"psd_tol must be finite, got {psd_tol}")
     if s.n != c.n or s.d != c.d:
         raise ValueError(f"stack (n={s.n}, d={s.d}) does not match Gram matrix (n={c.n}, d={c.d})")
-    cs = c @ s.stacked
-    raw = build_lambda(cs, s)
-    asymmetry = float(np.max(np.linalg.norm(raw - raw.transpose(0, 2, 1), axis=(1, 2))))
-    blocks = 0.5 * (raw + raw.transpose(0, 2, 1))
-    # (Lambda - C) S, blockwise Lambda_ii S_i minus C S.
-    residual_mat = (blocks @ s.blocks).reshape(cs.shape) - cs
+    raw, blocks, residual_mat = multiplier_residual(c @ s.stacked, s)
     residual = float(np.linalg.norm(residual_mat, 2))
-    residual_fro = float(np.linalg.norm(residual_mat))
     cert = Certificate(
         lambda_blocks=blocks,
         factor=c.factor,
         stationarity_residual=residual,
-        stationarity_residual_fro=residual_fro,
-        asymmetry=asymmetry,
+        stationarity_residual_fro=float(fro_norm(residual_mat)),
+        asymmetry=float(np.max(fro_norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))),
         verdict=Verdict.NOT_STATIONARY,
     )
     if residual < stat_tol:

@@ -5,8 +5,8 @@ cloud-set file, JSON report), certify (cloud set + stack file, certificate
 JSON), bm (Stiefel ascent), phase (grid run, CSV; the interpolated 50%
 success crossing of each (n, m) group goes to stderr).
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 timeout-dominated grid.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (a LAPACK
+routine that did not converge included), 3 timeout-dominated grid.
 """
 from __future__ import annotations
 
@@ -305,12 +305,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"gopp: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"gopp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"gopp: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

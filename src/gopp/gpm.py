@@ -65,9 +65,10 @@ class SolveReport:
 
     residual_history holds the quantity the solver's stop rule compares with
     its tolerance: the Gram change ||S' S'^T - S S^T||_F of each power step
-    for :func:`solve`, the Riemannian gradient norm at each iterate for
-    :func:`gopp.bm.solve_bm`.  The report holds no certificate; the CLI
-    appends one to the JSON it emits.
+    for :func:`solve`; for :func:`gopp.bm.solve_bm`, the Riemannian gradient
+    norm at each iterate, which is the certificate's ||(Lambda - C) S||_F
+    there.  The report holds no certificate; the CLI appends one to the JSON
+    it emits.
     """
 
     solution: StiefelStack
@@ -151,9 +152,9 @@ def solve(
 
     A given s_init, of n blocks of d x p with any p >= d, is the start and
     config.init is not read; otherwise config.init picks the spectral start
-    (from d_for_init) or a random one (from config.seed).  Reaching max_iter
-    is not an exception: the report comes back with converged=False and the
-    partial history.
+    (from d_for_init if given, else from the factor D of C) or a random one
+    (from config.seed).  Reaching max_iter is not an exception: the report
+    comes back with converged=False and the partial history.
     """
     n, d = c.n, c.d
     if s_init is not None:
@@ -161,9 +162,7 @@ def solve(
             raise ValueError("s_init stack does not match (n, d)")
         s = s_init
     elif config.init == "spectral":
-        if d_for_init is None:
-            raise ValueError("spectral init needs the stacked data matrix D")
-        s = spectral_init(d_for_init, n)
+        s = spectral_init(c.factor if d_for_init is None else d_for_init, n)
     else:
         s = random_init(n, d, np.random.default_rng(config.seed))
     start = time.monotonic()

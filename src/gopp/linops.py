@@ -236,6 +236,20 @@ def gram_change(s: np.ndarray, s_new: np.ndarray) -> float:
     return float(np.linalg.norm(diff))
 
 
+def fro_norm(x: np.ndarray, axis=None):
+    """np.linalg.norm(x, axis=axis), the Frobenius norm(s), at any scale of x.
+
+    Where max|x| lies outside [2^-481, 2^480) the squares could overflow or
+    underflow, so x is first scaled by a power of two (exact) to a largest
+    entry in [1/2, 1), and the norm scaled back.  Inside that range nothing
+    is scaled: the result is np.linalg.norm's, bit for bit.
+    """
+    shift = int(np.frexp(np.max(np.abs(x)))[1])
+    if abs(shift) <= 480:
+        return np.linalg.norm(x, axis=axis)
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -shift), axis=axis), shift)
+
+
 def lambda_kth_smallest(mu: np.ndarray, e: np.ndarray, k: int) -> float:
     """k-th smallest eigenvalue (1-based k) of diag(mu) - e e^T, mu (N,) and e N x m.
 
@@ -266,6 +280,15 @@ def lambda_kth_smallest(mu: np.ndarray, e: np.ndarray, k: int) -> float:
         return float(ranked[k - 1])
     sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||e||_2^2
     scale = float(np.max(np.abs(mu))) + sigma2
+    if not 2.0**-256 <= scale <= 2.0**256:
+        # Far from unit scale tol can underflow to 0, and the bracket then
+        # never closes.  The search runs on diag(mu 2^-2s) - (e 2^-s)(e 2^-s)^T,
+        # whose largest entry is near 1; powers of two scale it exactly.
+        shift = max(int(np.frexp(np.max(np.abs(e)))[1]),
+                    (int(np.frexp(np.max(np.abs(mu)))[1]) + 1) // 2)
+        if shift:
+            scaled = lambda_kth_smallest(np.ldexp(mu, -2 * shift), np.ldexp(e, -shift), k)
+            return float(np.ldexp(scaled, 2 * shift))
     tol = 4.0 * np.finfo(float).eps * scale
     # Weyl and rank-m interlacing: mu_(k) - sigma2 <= lambda_k <= mu_(k), and
     # lambda_k >= mu_(k-m) when k > m.

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import RotationStack, StiefelStack
+from .linops import RotationStack, StiefelStack, fro_norm
 
 
 _SHAPES = {2: "a d x m matrix", 3: "an n x d x m array"}
@@ -167,8 +167,8 @@ class GramMatrix:
         return self.factor @ (self.factor.T @ x)
 
     def fro_norm(self) -> float:
-        """||C||_F = ||D^T D||_F."""
-        return float(np.linalg.norm(self.factor.T @ self.factor))
+        """||C||_F = ||D^T D||_F, finite wherever the entries of D^T D are."""
+        return float(fro_norm(self.factor.T @ self.factor))
 
     def spectral_norm(self) -> float:
         """||C||_2 = sigma_max(D)^2."""

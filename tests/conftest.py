@@ -1,9 +1,20 @@
 """Shared helpers for the test suite."""
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from gopp.linops import StiefelStack, polar, polar_blockwise
 from gopp.model import GramMatrix, PointCloud, PointCloudSet
+
+
+def src_env() -> dict:
+    """The environment with the package's src/ first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_orthogonal(rng, d):

@@ -1,5 +1,8 @@
 """Unit tests for the dual certificate and the deterministic noise thresholds."""
 import itertools
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from gopp.gpm import GpmConfig, objective, solve
 from gopp.linops import StiefelStack, lambda_kth_smallest
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import dense_gap, dense_gram, random_stack
+from conftest import dense_gap, dense_gram, random_stack, src_env
 
 
 def sign_enumeration_max(c_data):
@@ -140,6 +143,26 @@ class TestCertify:
                 assert val >= best - 1e-8 * max(1.0, abs(best))
                 checked += 1
         assert checked >= 50  # the oracle must actually exercise certified cases
+
+    def test_returns_at_a_subnormal_gram(self):
+        # Clouds of 1e-160 make C subnormal; the eigenvalue search once spun there
+        # forever, so it runs in a subprocess that a timeout stops.
+        code = (
+            "import json, numpy as np\n"
+            "from gopp.certificate import certify\n"
+            "from gopp.gpm import random_init\n"
+            "from gopp.model import PointCloudSet, build_gram\n"
+            "points = np.random.default_rng(0).standard_normal((6, 2, 5)) * 1e-160\n"
+            "gram = build_gram(PointCloudSet.from_array(points))\n"
+            "cert = certify(gram, random_init(6, 2, np.random.default_rng(1)))\n"
+            "print(json.dumps(cert.to_json_dict()))\n"
+        )
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["verdict"] in {v.value for v in Verdict}
+        assert doc["lambda_min"] <= doc["lambda_d_plus_1"]
 
     def test_json_dict(self):
         inst = generate_instance("uniform_cube", 5, 8, 2, 0.0, seed=4)

@@ -18,7 +18,7 @@ import gopp.gpm
 from gopp.bench import generate_instance, run_trial
 from gopp.cli import EXIT_OK, EXIT_USAGE, main
 from gopp.linops import StiefelStack
-from gopp.model import read_stack, write_stack
+from gopp.model import PointCloudSet, read_stack, write_cloud_set, write_stack
 
 from conftest import random_stack
 
@@ -118,6 +118,27 @@ class TestSolve:
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "nope.txt")]) == EXIT_USAGE
+
+    def test_lapack_failure_is_numerical(self, cloud_set_file, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, which is the usage error's exception.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(gopp.cli, "solve", failing)
+        assert run_cli(["solve", str(cloud_set_file)]) == gopp.cli.EXIT_NUMERICAL == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e77, 1e100])
+    def test_huge_clouds_report_is_finite_json(self, tmp_path, scale):
+        points = np.random.default_rng(0).standard_normal((6, 2, 5)) * scale
+        path, out = tmp_path / "clouds.txt", tmp_path / "report.json"
+        write_cloud_set(path, PointCloudSet.from_array(points))
+        assert run_cli(["solve", str(path), "--out", str(out)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        json.loads(out.read_text(), parse_constant=reject)
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_tol_not_positive_and_finite_rejected(self, cloud_set_file, tmp_path, capsys, tol):

@@ -163,10 +163,18 @@ class TestSolve:
         assert report.iterations == 1
         assert len(report.residual_history) == 1
 
-    def test_spectral_init_requires_data_matrix(self):
-        _, gram = noiseless_setup()
-        with pytest.raises(ValueError, match="data matrix"):
-            solve(gram, GpmConfig(init="spectral"))
+    def test_spectral_init_without_data_matrix_seeds_from_gram_factor(self):
+        # On an uncentred Gram matrix the factor is the stacked clouds, bit for bit.
+        inst = generate_instance("uniform_cube", 10, 12, 3, 0.6, seed=4)
+        gram = build_gram(inst.observed, center_first=False)
+        config = GpmConfig(init="spectral", keep_iterates=True)
+        seeded = solve(gram, config)
+        given = solve(gram, config, d_for_init=build_data_matrix(inst.observed))
+        assert seeded.iterations == given.iterations
+        for a, b in zip(seeded.iterates, given.iterates):
+            assert np.array_equal(a.blocks, b.blocks)
+        assert seeded.residual_history == given.residual_history
+        assert np.array_equal(seeded.solution.blocks, given.solution.blocks)
 
     def test_given_start_needs_no_data_matrix(self):
         inst, gram = noiseless_setup()

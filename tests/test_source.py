@@ -1,11 +1,12 @@
 """Checks on the package source, the scripts, the tests and the benchmark, not on their numbers."""
 import ast
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import src_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = [
@@ -40,12 +41,6 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
-
-
-def src_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 def test_import_gopp_loads_every_library_module():
