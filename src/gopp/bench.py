@@ -20,7 +20,7 @@ import numpy as np
 
 from .bm import BmConfig, solve_bm
 from .certificate import certify
-from .gpm import GpmConfig, NumericalError, check_time_limit, solve
+from .gpm import GpmConfig, NumericalError, check_seed, check_time_limit, random_init, solve
 from .linops import RotationStack, StiefelStack, df
 from .model import PointCloud, PointCloudSet, SyntheticInstance, build_gram
 
@@ -113,27 +113,25 @@ def generate_instance(
 
     The latent cloud's columns are Unif[-1,1]^d or N(0, I_d); ground-truth
     transforms default to the identity (noise rotation-invariance), with
-    Haar-random orthogonal blocks as an option.
+    Haar-random orthogonal blocks, the polar factors of Gaussian blocks
+    from :func:`random_init`, as an option.
     """
     if model not in CLOUD_MODELS:
         raise ValueError(f"model must be one of {CLOUD_MODELS}")
     _check_cell(n, m, d, sigma)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     if model == "uniform_cube":
         a = rng.uniform(-1.0, 1.0, size=(d, m))
     else:
         a = rng.standard_normal((d, m))
-    if haar_rotations:
-        u, _, vt = np.linalg.svd(rng.standard_normal((n, d, d)))
-        rots = u @ vt
-    else:
-        rots = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    rotations = random_init(n, d, rng) if haar_rotations else RotationStack.identity(n, d)
     shifts = rng.standard_normal((n, d)) if with_shifts else np.zeros((n, d))
     noise = rng.standard_normal((n, d, m))
-    observed = rots @ (a - shifts[:, :, None]) + sigma * noise
+    observed = rotations.blocks @ (a - shifts[:, :, None]) + sigma * noise
     return SyntheticInstance(
         truth=PointCloud(a),
-        rotations=RotationStack(rots),
+        rotations=rotations,
         shifts=shifts,
         sigma=float(sigma),
         observed=PointCloudSet.from_array(observed),

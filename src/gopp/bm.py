@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import multiplier_residual
-from .gpm import NumericalError, SolveReport, check_time_limit, random_init
-from .linops import RankDeficiencyWarning, StiefelStack, polar_blockwise
+from .gpm import NumericalError, SolveReport, check_seed, check_time_limit, random_init
+from .linops import RankDeficiencyWarning, StiefelStack, fro_norm, polar_blockwise
 from .model import GramMatrix
 
 EPS = float(np.finfo(float).eps)
@@ -40,6 +40,7 @@ class BmConfig:
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        check_seed(self.seed)
         check_time_limit(self.time_limit_s)
 
 
@@ -89,7 +90,8 @@ def solve_bm(
     drops below its float64 resolution (|f_new - f| <= 8 eps |f|), Armijo
     cannot see an increase, and a step is accepted on the approximate Armijo
     condition of Hager and Zhang (SIAM J. Optim., 2005) instead:
-    2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below 1e-20 ends the ascent.
+    2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below 1e-20
+    ends the ascent, and so does a next trial step that is not finite.
     The report's residual_history holds ||grad|| at every iterate, the start
     included: the certificate's stationarity_residual_fro, ||(Lambda - C) S||_F,
     at that iterate.  converged says whether the last one is within tolerance.
@@ -115,14 +117,14 @@ def solve_bm(
     start = time.monotonic()
     f, grad = evaluate(s)
     objective_history = [f]
-    residual_history = [float(np.linalg.norm(grad))]
+    residual_history = [float(fro_norm(grad))]
     converged = residual_history[-1] <= tol
     timed_out = stalled = False
     iterations = 0
     with warnings.catch_warnings():
         # A tangent step cannot empty a block; see retract.
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        while not (converged or timed_out) and iterations < config.max_iter:
+        while not (converged or timed_out or stalled) and iterations < config.max_iter:
             # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
             gnorm = residual_history[-1]
             slope = 2.0 * gnorm * gnorm
@@ -153,10 +155,11 @@ def solve_bm(
                 bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
             eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
             s, f, grad = s_new, f_new, grad_new
-            residual_history.append(float(np.linalg.norm(grad)))
+            residual_history.append(float(fro_norm(grad)))
             objective_history.append(f)
             iterations += 1
             converged = residual_history[-1] <= tol
+            stalled = not math.isfinite(eta)  # a step that overflowed cannot be tried
             limit = config.time_limit_s
             timed_out = not converged and limit is not None and time.monotonic() - start > limit
     return SolveReport(

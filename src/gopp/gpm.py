@@ -50,7 +50,14 @@ class GpmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        check_seed(self.seed)
         check_time_limit(self.time_limit_s)
+
+
+def check_seed(seed: int) -> None:
+    """A random seed is a non-negative integer, as np.random.default_rng takes it."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def check_time_limit(time_limit_s: float | None) -> None:

@@ -2,12 +2,12 @@
 
 A "stack" is n matrices of size d x p (p >= d) stored as a (n, d, p) array.
 Stacked vertically they form an nd x p matrix, the basic variable of the
-synchronization objective.  This module provides the polar projection onto
-the orthogonal group / Stiefel manifold (blockwise from one batched eigh of
-the d x d Gram matrices, with the SVD for ill-conditioned blocks), the
-alignment distance d_F, the Gram-change residual ||S'S'^T - SS^T||_F from
-a thin QR, the eigenvalues of diagonal minus low-rank matrices, and
-truncated SVDs used everywhere else.
+synchronization objective.  This module provides the one polar kernel,
+polar_blockwise (from one batched eigh of the d x d block Gram matrices, with
+the SVD for ill-conditioned blocks), which the solvers, the Haar draw and
+the aligner behind the distance d_F all call; the Gram-change residual
+||S'S'^T - SS^T||_F from a thin QR, the eigenvalues of diagonal minus
+low-rank matrices, and the truncated SVD of the spectral start.
 """
 from __future__ import annotations
 
@@ -116,31 +116,6 @@ class AlignmentResult:
     aligner: np.ndarray  # p x p orthogonal Q achieving min ||X - Y Q||_F
 
 
-def polar(x: np.ndarray) -> np.ndarray:
-    """Nearest row-orthonormal matrix to a d x p matrix x (p >= d).
-
-    Returns U V^T from the thin SVD; the unique maximizer of <R, x> over the
-    manifold whenever sigma_min(x) > 0.  Near-rank-deficient inputs trigger a
-    :class:`RankDeficiencyWarning` but still return the SVD-based choice.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"polar expects a matrix, got shape {x.shape}")
-    d, p = x.shape
-    if p < d:
-        raise ValueError(f"polar expects p >= d, got {d} x {p}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("polar input must be finite")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        warnings.warn(
-            f"polar factor is non-unique (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return u @ vt
-
-
 def _transposed(blocks: np.ndarray) -> np.ndarray:
     """Blockwise transpose as a contiguous copy: matmul is ~3x slower on the view."""
     return np.ascontiguousarray(blocks.transpose(0, 2, 1))
@@ -158,7 +133,7 @@ def polar_blockwise(stack) -> StiefelStack:
     conditioning, so a block with lam_min <= _GRAM_TOL * lam_max
     (sigma_max / sigma_min >= 100, rank-deficient blocks included) takes
     the thin SVD's U V^T instead, and only those blocks are tested against
-    RANK_TOL.  Either way a block agrees with :func:`polar` to about 1e-13.
+    RANK_TOL.  Either way a block agrees with the SVD's U V^T to about 1e-13.
     """
     blocks = stack.blocks if isinstance(stack, StiefelStack) else np.asarray(stack, dtype=float)
     _check_shape(blocks)
@@ -187,17 +162,19 @@ def polar_blockwise(stack) -> StiefelStack:
 def align(x, y) -> AlignmentResult:
     """Optimal global alignment of two nd x p stacks: min_Q ||X - Y Q||_F.
 
-    The minimizer is Q = polar(Y^T X); the distance is the gauge-invariant
-    d_F metric.
+    The minimizer is the p x p polar factor Q = P(Y^T X), taken from
+    :func:`polar_blockwise` as a stack of one block; the distance is the
+    gauge-invariant d_F metric.  A rank-deficient Y^T X takes that kernel's
+    SVD path, whose U V^T is one of the minimizers.
     """
     xs = x.stacked if isinstance(x, StiefelStack) else np.asarray(x, dtype=float)
     ys = y.stacked if isinstance(y, StiefelStack) else np.asarray(y, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError(f"shape mismatch: {xs.shape} vs {ys.shape}")
     with warnings.catch_warnings():
-        # Degenerate Y^T X is resolved by polar's deterministic convention.
+        # Any minimizer gives the same distance, so a non-unique Q is not a fault.
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        q = polar(ys.T @ xs)
+        q = polar_blockwise((ys.T @ xs)[None]).blocks[0]
     distance = float(np.linalg.norm(xs - ys @ q))
     return AlignmentResult(distance=distance, aligner=q)
 
@@ -353,7 +330,10 @@ def _schur_count(mu, e, norms, exact, t: float, k: int):
     |mu_i - t| (at most 2m, the largest terms first), a shift equal to one
     included, are not inverted: they stay in the bordered matrix
     [[diag(delta_N / norms_N), E_N / sqrt(norms_N)], [., S_F]], whose inertia
-    adds to that of diag(delta_F); S_F is the Schur complement of the rest.
+    adds to that of diag(delta_F).  S_F = I - E^T diag(1/delta) E is the
+    Schur complement of the rest, with delta = mu - t and delta_N set to +inf:
+    e_i / inf = 0 drops a near row without copying E, so the rows of
+    diag(1/delta) E stay aligned with mu.
     """
     m = e.shape[1]
     delta = mu - t
@@ -361,28 +341,25 @@ def _schur_count(mu, e, norms, exact, t: float, k: int):
     if len(near) > 2 * m:
         near = near[np.argsort(np.abs(delta[near]) / norms[near])[: 2 * m]]
     q = len(near)
-    far_e, far_delta = e, delta
-    if q:
-        far = np.ones(len(mu), dtype=bool)
-        far[near] = False
-        far_e, far_delta = e[far], delta[far]
-    w = far_e / far_delta[:, None]
-    schur = np.eye(m) - far_e.T @ w
+    near_delta = delta[near]
+    delta[near] = np.inf  # +inf also keeps the near rows out of the count below t
+    w = e / delta[:, None]
+    schur = np.eye(m) - e.T @ w
     if q:
         # Congruences: 1/||e_i|| on the kept rows, then a diagonal
         # equilibration of the whole matrix.  Neither changes the inertia.
         en = e[near] / np.sqrt(norms[near])[:, None]
-        bordered = np.block([[np.diag(delta[near] / norms[near]), en], [en.T, schur]])
+        bordered = np.block([[np.diag(near_delta / norms[near]), en], [en.T, schur]])
         rowmax = np.max(np.abs(bordered), axis=1)
         scaling = 1.0 / np.sqrt(np.where(rowmax > 0.0, rowmax, 1.0))
         vals, vecs = np.linalg.eigh(scaling[:, None] * bordered * scaling)
         vecs *= scaling[:, None]
     else:
         vals, vecs = np.linalg.eigh(schur)
-    below = int(np.count_nonzero(exact < t)) + int(np.count_nonzero(far_delta < 0))
+    below = int(np.count_nonzero(exact < t)) + int(np.count_nonzero(delta < 0))
     count = below + int(np.count_nonzero(vals < 0))
     # lambda_k is where the j-th eigenvalue of the bordered matrix, decreasing
-    # in t with slope -(sum_N v_i^2 / norms_i + ||diag(1/delta_F) E_F v_S||^2),
+    # in t with slope -(sum_N v_i^2 / norms_i + ||diag(1/delta) E v_S||^2),
     # crosses zero (while no other block eigenvalue lies between).
     j = k - below
     if not 1 <= j <= len(vals):

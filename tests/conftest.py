@@ -1,11 +1,12 @@
 """Shared helpers for the test suite."""
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from gopp.linops import StiefelStack, polar, polar_blockwise
+from gopp.linops import RANK_TOL, RankDeficiencyWarning, StiefelStack, polar_blockwise
 from gopp.model import GramMatrix, PointCloud, PointCloudSet
 
 
@@ -15,6 +16,30 @@ def src_env() -> dict:
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def polar(x):
+    """SVD oracle for the polar factor of one d x p matrix x (p >= d): U V^T.
+
+    This is the unique maximizer of <R, x> over the row-orthonormal d x p
+    matrices whenever sigma_min(x) > 0.  Near-rank-deficient inputs trigger
+    a RankDeficiencyWarning but still return the SVD's choice.
+    """
+    x = np.asarray(x, dtype=float)
+    assert x.ndim == 2 and x.shape[0] <= x.shape[1] and np.all(np.isfinite(x))
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        warnings.warn(
+            f"polar factor is non-unique (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})",
+            RankDeficiencyWarning,
+            stacklevel=2,
+        )
+    return u @ vt
+
+
+def polar_one_block(x):
+    """polar_blockwise, the one polar kernel of the package, on one d x p matrix x."""
+    return polar_blockwise(np.asarray(x, dtype=float)[None]).blocks[0]
 
 
 def random_orthogonal(rng, d):
@@ -81,7 +106,7 @@ def loop_instance(model, n, m, d, sigma, with_shifts, seed, haar_rotations):
     else:
         a = rng.standard_normal((d, m))
     if haar_rotations:
-        rots = np.stack([polar(rng.standard_normal((d, d))) for _ in range(n)])
+        rots = np.stack([polar_one_block(rng.standard_normal((d, d))) for _ in range(n)])
     else:
         rots = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     if with_shifts:

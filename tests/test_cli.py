@@ -128,17 +128,24 @@ class TestSolve:
         assert run_cli(["solve", str(cloud_set_file)]) == gopp.cli.EXIT_NUMERICAL == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", [1e77, 1e100])
+    @pytest.mark.parametrize("scale", [1e77, 1e100, 1e-160])
     def test_huge_clouds_report_is_finite_json(self, tmp_path, scale):
+        # Also tiny clouds, whose Gram entries are subnormal; and the ascent,
+        # whose residual_history is the certificate's residual at every scale.
         points = np.random.default_rng(0).standard_normal((6, 2, 5)) * scale
         path, out = tmp_path / "clouds.txt", tmp_path / "report.json"
         write_cloud_set(path, PointCloudSet.from_array(points))
-        assert run_cli(["solve", str(path), "--out", str(out)]) == EXIT_OK
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        json.loads(out.read_text(), parse_constant=reject)
+        for command in ("solve", "bm"):
+            assert run_cli([command, str(path), "--out", str(out)]) == EXIT_OK
+            doc = json.loads(out.read_text(), parse_constant=reject)
+            if command == "bm":
+                cert = doc["certificate"]
+                assert not (doc["converged"] and cert["verdict"] == "not_stationary")
+                assert doc["residual_history"][-1] == cert["stationarity_residual_fro"]
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_tol_not_positive_and_finite_rejected(self, cloud_set_file, tmp_path, capsys, tol):
@@ -421,6 +428,18 @@ class TestUsageErrors:
 
     def test_missing_required_out(self):
         assert run_cli(["generate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "bm"])
+    def test_negative_seed_names_seed(self, cloud_set_file, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        args = {
+            "generate": ["generate"],
+            "solve": ["solve", str(cloud_set_file), "--init", "random"],
+            "bm": ["bm", str(cloud_set_file)],
+        }[command]
+        assert run_cli([*args, "--seed", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

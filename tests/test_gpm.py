@@ -16,10 +16,10 @@ from gopp.gpm import (
     solve,
     spectral_init,
 )
-from gopp.linops import StiefelStack, df, polar
+from gopp.linops import StiefelStack, df
 from gopp.model import GramMatrix, build_data_matrix, build_gram
 
-from conftest import gram_block, random_stack
+from conftest import gram_block, polar, random_stack
 
 
 def noiseless_setup(n=12, d=3, m=10, seed=0, model="uniform_cube"):

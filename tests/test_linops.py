@@ -20,13 +20,20 @@ from gopp.linops import (
     df_squared_identity,
     gram_change,
     lambda_kth_smallest,
-    polar,
     polar_blockwise,
     top_d_left_singular,
 )
 from gopp.model import build_gram
 
-from conftest import block_spectrum, dense_gap, random_orthogonal, random_stack, random_tangent
+from conftest import (
+    block_spectrum,
+    dense_gap,
+    polar,
+    polar_one_block,
+    random_orthogonal,
+    random_stack,
+    random_tangent,
+)
 
 
 def conditioned_blocks(rng, n, d, p, log_kappa, log_scale=0.0):
@@ -79,45 +86,38 @@ class TestStiefelStack:
 
 
 class TestPolar:
+    """Properties of the polar factor, on the kernel every caller uses."""
+
     def test_identity_fixed(self):
-        assert np.allclose(polar(np.eye(3)), np.eye(3), atol=1e-14)
+        assert np.allclose(polar_one_block(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_scale_invariance(self, rng):
         q = random_orthogonal(rng, 4)
-        assert np.allclose(polar(3.0 * q), q, atol=1e-12)
+        assert np.allclose(polar_one_block(3.0 * q), q, atol=1e-12)
 
     def test_diagonal_case(self):
-        out = polar(np.diag([2.0, -3.0]))
+        out = polar_one_block(np.diag([2.0, -3.0]))
         assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-14)
 
     def test_maximizes_inner_product(self):
-        # polar(X) beats every sampled orthogonal matrix on <R, X>.
+        # P(X) beats every sampled orthogonal matrix on <R, X>.
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 3))
         while np.linalg.svd(x, compute_uv=False)[-1] <= 0.1:
             x = rng.standard_normal((3, 3))
-        best = float(np.sum(polar(x) * x))
+        best = float(np.sum(polar_one_block(x) * x))
         for _ in range(1000):
             r = random_orthogonal(rng, 3)
             assert best >= float(np.sum(r * x)) - 1e-10
 
     def test_idempotence(self, rng):
         x = rng.standard_normal((3, 5))
-        p1 = polar(x)
-        assert np.allclose(polar(p1), p1, atol=1e-10)
-
-    def test_rank_deficiency_warns(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.warns(RankDeficiencyWarning):
-            polar(x)
-
-    def test_rejects_wide_transpose(self):
-        with pytest.raises(ValueError):
-            polar(np.zeros((3, 2)))
+        p1 = polar_one_block(x)
+        assert np.allclose(polar_one_block(p1), p1, atol=1e-10)
 
     def test_row_orthonormal_output(self, rng):
         x = rng.standard_normal((2, 5))
-        out = polar(x)
+        out = polar_one_block(x)
         assert np.linalg.norm(out @ out.T - np.eye(2)) <= 1e-10
 
 
@@ -242,6 +242,27 @@ class TestAlign:
             diffs = x.stacked[None, :, :] - y.stacked[None, :, :] @ qs
             best = min(best, float(np.min(np.linalg.norm(diffs, axis=(1, 2)))))
         assert abs(align(x, y).distance - best) <= 1e-4
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_svd_oracle(self, rng, d):
+        for n in (1, 4, 50):
+            x = random_stack(rng, n, d)
+            y = random_stack(rng, n, d)
+            q = polar(y.stacked.T @ x.stacked)
+            res = align(x, y)
+            assert np.max(np.abs(res.aligner - q)) <= 1e-13
+            assert abs(res.distance - np.linalg.norm(x.stacked - y.stacked @ q)) <= 1e-13
+
+    def test_rank_deficient_product_matches_svd_oracle_bitwise(self, rng):
+        # With nd = 6 < p = 7, Y^T X is rank deficient: the kernel takes its SVD path.
+        x = random_stack(rng, 2, 3, 7)
+        y = random_stack(rng, 2, 3, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            q = polar(y.stacked.T @ x.stacked)
+        res = align(x, y)
+        assert np.array_equal(res.aligner, q)
+        assert res.distance == float(np.linalg.norm(x.stacked - y.stacked @ q))
 
 
 class TestDfIdentities:
@@ -429,7 +450,7 @@ def test_polar_perturbation_bounds(d, seed):
     smin = np.linalg.svd(x, compute_uv=False)[-1] + np.linalg.svd(y, compute_uv=False)[-1]
     if smin <= 1e-8:
         return
-    diff = polar(x) - polar(y)
+    diff = polar_one_block(x) - polar_one_block(y)
     assert np.linalg.norm(diff, 2) <= 2.0 * np.linalg.norm(x - y, 2) / smin + 1e-10
     assert np.linalg.norm(diff) <= 4.0 * np.linalg.norm(x - y) / smin + 1e-10
 
@@ -516,5 +537,5 @@ def test_polar_blockwise_matches_oracle(n, d, p_extra, log_kappa, log_scale, see
 def test_polar_output_on_manifold(d, p_extra, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, d + p_extra))
-    out = polar(x)
+    out = polar_one_block(x)
     assert np.linalg.norm(out @ out.T - np.eye(d)) <= 1e-10
