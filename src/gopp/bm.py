@@ -19,10 +19,9 @@ import numpy as np
 
 from .certificate import multiplier_residual
 from .gpm import NumericalError, SolveReport, check_seed, check_time_limit, random_init
-from .linops import RankDeficiencyWarning, StiefelStack, fro_norm, polar_blockwise
+from .linops import EPS, RankDeficiencyWarning, StiefelStack, fro_norm, polar_blockwise
 from .model import GramMatrix
 
-EPS = float(np.finfo(float).eps)
 ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
 BACKTRACK = 0.5  # step shrink factor of the line search
 

@@ -3,14 +3,20 @@
 A "stack" is n matrices of size d x p (p >= d) stored as a (n, d, p) array.
 Stacked vertically they form an nd x p matrix, the basic variable of the
 synchronization objective.  This module provides the one polar kernel,
-polar_blockwise (from one batched eigh of the d x d block Gram matrices, with
-the SVD for ill-conditioned blocks), which the solvers, the Haar draw and
-the aligner behind the distance d_F all call; the Gram-change residual
-||S'S'^T - SS^T||_F from a thin QR, the eigenvalues of diagonal minus
-low-rank matrices, and the truncated SVD of the spectral start.
+polar_blockwise, which the solvers, the Haar draw and the aligner behind the
+distance d_F all call.  It has two paths, chosen per call from the d x d
+block Gram matrices: Newton-Schulz steps alone when every block is near a
+scaled orthonormal one, as the ascent's retraction inputs are, and
+otherwise one batched eigh of the Grams, with the SVD for ill-conditioned
+blocks.  A 3 x 3 eigh costs about as much as ten Newton-Schulz steps, so
+the first path spares the ascent most of its polar time.  Also here: the
+Gram-change residual ||S'S'^T - SS^T||_F from a thin QR, the eigenvalues of
+diagonal minus low-rank matrices, and the truncated SVD of the spectral
+start.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +31,10 @@ ORTH_TOL = 1e-10
 # The Gram path's error against the SVD grows as about 0.07 eps kappa^2
 # (1.5e-11 measured at kappa = 1e3), so beyond that the SVD is used.
 _GRAM_TOL = 1e-4
+# polar_blockwise skips the eigh when Newton-Schulz needs at most this many
+# steps to reach EPS; each costs two small batched products.
+_MAX_NS_STEPS = 5
+EPS = float(np.finfo(float).eps)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -126,22 +136,54 @@ def polar_blockwise(stack) -> StiefelStack:
 
     Each block X is first scaled by a power of two (exact) to a largest entry
     in [1/2, 1), so its d x d Gram G = X X^T neither overflows nor
-    underflows.  One batched eigh, G = U diag(lam) U^T, gives the polar
-    factor P0 = U diag(lam)^(-1/2) U^T X, and one Newton-Schulz step
-    P = 1.5 P0 - 0.5 (P0 P0^T) P0 brings ||P P^T - I|| back to roundoff
-    (Higham, SIAM J. Sci. Stat. Comput., 1986).  The Gram squares the
-    conditioning, so a block with lam_min <= _GRAM_TOL * lam_max
-    (sigma_max / sigma_min >= 100, rank-deficient blocks included) takes
-    the thin SVD's U V^T instead, and only those blocks are tested against
-    RANK_TOL.  Either way a block agrees with the SVD's U V^T to about 1e-13.
+    underflows.  Then one of two paths runs on the whole call, chosen from G:
+
+    - Newton-Schulz, when every block is near a scaled orthonormal one.  With
+      c = tr(G)/d, the eigenvalues of G/c lie within dev = ||G/c - I||_F of 1.
+      Each step Y <- 1.5 Y - 0.5 (Y Y^T) Y from Y = X / sqrt(c) maps that
+      bound to (3 dev^2 + dev^3) / 4, so the largest dev of the call fixes
+      the number of steps that reach roundoff; the path runs when that is at
+      most _MAX_NS_STEPS.  Retraction inputs S + tT, T tangent, have Gram
+      I + t^2 T T^T and take this path, with no eigensolver.
+    - Otherwise one batched eigh, G = U diag(lam) U^T, gives the polar factor
+      P0 = U diag(lam)^(-1/2) U^T X, and one Newton-Schulz step
+      P = 1.5 P0 - 0.5 (P0 P0^T) P0 brings ||P P^T - I|| back to roundoff
+      (Higham, SIAM J. Sci. Stat. Comput., 1986).  The Gram squares the
+      conditioning, so a block with lam_min <= _GRAM_TOL * lam_max
+      (sigma_max / sigma_min >= 100, rank-deficient blocks included) takes
+      the thin SVD's U V^T instead, and only those blocks are tested against
+      RANK_TOL.
+
+    Every path agrees with the SVD's U V^T to about 1e-13, and a call with a
+    zero or rank-deficient block always takes the second.
     """
     blocks = stack.blocks if isinstance(stack, StiefelStack) else np.asarray(stack, dtype=float)
     _check_shape(blocks)
-    if not np.all(np.isfinite(blocks)):
+    n, d, _ = blocks.shape
+    peak = np.abs(blocks).reshape(n, -1).max(axis=1)
+    if not np.isfinite(peak).all():  # max propagates NaN and inf
         raise ValueError("polar_blockwise input must be finite")
-    _, exponent = np.frexp(np.max(np.abs(blocks), axis=(1, 2)))
+    _, exponent = np.frexp(peak)
     x = np.ldexp(blocks, -exponent[:, None, None])
-    lam, u = np.linalg.eigh(x @ _transposed(x))
+    gram = x @ _transposed(x)
+    if float(peak.min()) > 0.0:  # a zero block has no scale c
+        # Every block must qualify.  Block 0 is tested first, in Python
+        # floats: that turns away a power step's or a Gaussian draw's call for
+        # about 1 us, where the batched test takes 7.
+        g0 = gram[0].ravel().tolist()
+        spread0 = d * sum(v * v for v in g0) / sum(g0[:: d + 1]) ** 2
+        if _newton_schulz_steps(spread0, d) <= _MAX_NS_STEPS:
+            trace = np.einsum("ijj->i", gram)
+            spread = d * float((np.einsum("ijk,ijk->i", gram, gram) / (trace * trace)).max())
+            steps = _newton_schulz_steps(spread, d)
+            if steps <= _MAX_NS_STEPS:
+                scale = (d / trace)[:, None, None]
+                y = x * np.sqrt(scale)
+                y = 1.5 * y - 0.5 * ((gram * scale) @ y)  # Y Y^T = G / c
+                for _ in range(steps - 1):
+                    y = 1.5 * y - 0.5 * ((y @ _transposed(y)) @ y)
+                return StiefelStack._orthonormal(y)
+    lam, u = np.linalg.eigh(gram)
     gram_ok = lam[:, 0] > _GRAM_TOL * lam[:, -1]
     inv_sqrt = 1.0 / np.sqrt(np.where(gram_ok[:, None], lam, 1.0))
     p0 = ((u * inv_sqrt[:, None, :]) @ _transposed(u)) @ x
@@ -155,8 +197,25 @@ def polar_blockwise(stack) -> StiefelStack:
             warnings.warn(
                 f"polar factor of block {i} is non-unique", RankDeficiencyWarning, stacklevel=2
             )
-    # Both paths are row-orthonormal to roundoff, so the output skips the re-check.
+    # Every path is row-orthonormal to roundoff, so the output skips the re-check.
     return StiefelStack._orthonormal(out)
+
+
+def _newton_schulz_steps(spread: float, d: int) -> int:
+    """Newton-Schulz steps that take a d x d Gram G to roundoff; _MAX_NS_STEPS + 1 if more.
+
+    spread = d ||G||_F^2 / tr(G)^2.  With c = tr(G)/d, every eigenvalue of
+    G/c lies within dev = ||G/c - I||_F = sqrt(d (spread - 1)) of 1; the
+    computed difference has an error below d (d + 2)^2 eps, which is added
+    so as not to undercount.  Each step maps the bound dev to
+    (3 dev^2 + dev^3) / 4, which converges for dev < 1.
+    """
+    dev = math.sqrt(d * max(spread - 1.0, 0.0) + d * (d + 2) ** 2 * EPS)
+    steps = 0
+    while dev > EPS and steps <= _MAX_NS_STEPS:
+        dev = 0.25 * dev * dev * (3.0 + dev)
+        steps += 1
+    return steps
 
 
 def align(x, y) -> AlignmentResult:
@@ -221,7 +280,7 @@ def fro_norm(x: np.ndarray, axis=None):
     entry in [1/2, 1), and the norm scaled back.  Inside that range nothing
     is scaled: the result is np.linalg.norm's, bit for bit.
     """
-    shift = int(np.frexp(np.max(np.abs(x)))[1])
+    shift = math.frexp(max(float(x.max()), -float(x.min())))[1]
     if abs(shift) <= 480:
         return np.linalg.norm(x, axis=axis)
     return np.ldexp(np.linalg.norm(np.ldexp(x, -shift), axis=axis), shift)

@@ -214,13 +214,14 @@ class TestSolveBm:
 
     def test_bb_steps_converge_fast_on_criterion_8_instance(self):
         # Alternating Barzilai-Borwein steps take 25-31 iterations per start
-        # here; the grow-and-halve rule they replaced took 54-90.
+        # here; the grow-and-halve rule they replaced took 54-90.  The budget
+        # of 35 also catches a retraction whose rounding slows the BB steps.
         inst = generate_instance("uniform_cube", 100, 25, 3, 0.3, seed=8)
         gram = build_gram(inst.observed, center_first=False)
         for seed in range(30):
             report = solve_bm(gram, BmConfig(p=7, seed=seed))
             assert report.converged
-            assert report.iterations <= 50, seed
+            assert report.iterations <= 35, seed
             hist = report.objective_history
             for prev, cur in zip(hist, hist[1:]):
                 assert cur >= prev - 1e-9 * abs(prev), seed

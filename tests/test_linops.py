@@ -18,6 +18,7 @@ from gopp.linops import (
     align,
     df,
     df_squared_identity,
+    fro_norm,
     gram_change,
     lambda_kth_smallest,
     polar_blockwise,
@@ -210,6 +211,64 @@ class TestPolarBlockwise:
         blocks[1, 0, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
             polar_blockwise(blocks)
+
+    @pytest.mark.parametrize("value", [-np.inf, np.nan])
+    def test_rejects_nan_and_minus_inf(self, value):
+        blocks = np.zeros((3, 2, 2))
+        blocks[2, 1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                polar_blockwise(blocks)
+
+    def test_eigh_only_off_the_near_orthonormal_path(self, rng, monkeypatch):
+        # Retraction inputs S + tT, T tangent, take Newton-Schulz alone; a
+        # Gaussian stack or a power step's blocks (C S)_i take one batched eigh.
+        s = random_stack(rng, 100, 3, 7)
+        t = random_tangent(rng, s)
+        t /= np.linalg.norm(t, axis=(1, 2), keepdims=True)
+        gram = build_gram(generate_instance("uniform_cube", 100, 25, 3, 0.8, seed=3).observed)
+        cases = {h: s.blocks + h * t for h in (1e-12, 1e-4, 1e-2, 0.1)}
+        cases["gaussian"] = rng.standard_normal((100, 3, 7))
+        cases["power_step"] = (gram @ random_stack(rng, 100, 3).stacked).reshape(100, 3, 3)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        counts = {}
+        for key, blocks in cases.items():
+            calls.clear()
+            assert_matches_polar(blocks)
+            counts[key] = len(calls)
+        assert counts == {1e-12: 0, 1e-4: 0, 1e-2: 0, 0.1: 0, "gaussian": 1, "power_step": 1}
+
+
+class TestFroNorm:
+    @pytest.mark.parametrize("log_scale", [-140.0, 0.0, 140.0])
+    def test_in_range_is_numpy_norm_bitwise(self, rng, log_scale):
+        x = rng.standard_normal((100, 3, 7)) * 10.0**log_scale
+        assert fro_norm(x) == np.linalg.norm(x)
+        assert np.array_equal(fro_norm(x, axis=(1, 2)), np.linalg.norm(x, axis=(1, 2)))
+
+    @pytest.mark.parametrize("log_scale", [-300.0, 300.0])
+    def test_out_of_range_is_scaled(self, rng, log_scale):
+        x = rng.standard_normal((4, 3, 7))
+        assert fro_norm(x * 10.0**log_scale) == pytest.approx(
+            np.linalg.norm(x) * 10.0**log_scale, rel=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "value,expected", [(np.nan, np.nan), (np.inf, np.inf), (-np.inf, np.inf), (0.0, 0.0)]
+    )
+    def test_non_finite_and_zero(self, value, expected):
+        # The non-finite entry sits in block 1; a zero array has norm 0.
+        x = np.zeros((2, 3, 3)) if value == 0.0 else np.ones((2, 3, 3))
+        x[1, 2, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, per_block = fro_norm(x), fro_norm(x, axis=(1, 2))
+        assert np.array_equal(total, expected, equal_nan=True)
+        assert np.array_equal(per_block[1], expected, equal_nan=True)
+        assert per_block[0] == (0.0 if value == 0.0 else 3.0)
 
 
 class TestAlign:
@@ -526,6 +585,40 @@ def test_polar_blockwise_matches_oracle(n, d, p_extra, log_kappa, log_scale, see
     # Both sides of the Gram/SVD switch at kappa = 100, at any scale.
     rng = np.random.default_rng(seed)
     assert_matches_polar(conditioned_blocks(rng, n, d, d + p_extra, log_kappa, log_scale))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    d=st.integers(min_value=1, max_value=4),
+    p_extra=st.integers(min_value=0, max_value=3),
+    log_step=st.floats(min_value=-12.0, max_value=0.0),
+    log_scale=st.floats(min_value=-250.0, max_value=250.0),
+    odd_block=st.sampled_from([None, "gaussian", "zero", "rank_deficient"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_polar_blockwise_tangent_steps_match_oracle(
+    n, d, p_extra, log_step, log_scale, odd_block, seed
+):
+    # Retraction inputs S + tT, T tangent, on both sides of the Newton-Schulz
+    # switch; one odd block sends the whole call to the eigh/SVD path.
+    rng = np.random.default_rng(seed)
+    s = random_stack(rng, n, d, d + p_extra)
+    blocks = s.blocks + 10.0**log_step * random_tangent(rng, s)
+    i = rng.integers(n)
+    if odd_block == "gaussian":
+        blocks[i] = rng.standard_normal((d, d + p_extra))
+    elif odd_block == "zero":
+        blocks[i] = 0.0
+    elif odd_block == "rank_deficient":
+        blocks[i] = conditioned_blocks(rng, 1, d, d + p_extra, 13.0)[0]
+    blocks *= 10.0**log_scale
+    expected = [j for j in range(n) if rank_warnings(polar, blocks[j])]
+    messages = rank_warnings(polar_blockwise, blocks)
+    assert [int(re.search(r"block (\d+)", m).group(1)) for m in messages] == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        assert_matches_polar(blocks)
 
 
 @settings(max_examples=100, deadline=None)
