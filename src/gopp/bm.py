@@ -6,20 +6,20 @@ undefined, and Armijo backtracking as the only line search.  Each trial
 point is one blockwise polar of S + step * grad, which cannot lose rank
 since grad is tangent.  At p = d this is the original orthogonal-block
 problem; at p = nd it attains the convex relaxation's value.
-C enters only through its norms and one product ``c @ S`` per point.
+C enters only through its norms and one product ``c @ S`` per point.  This
+module holds the step rule; the loop that runs it is :func:`gopp.gpm._iterate`.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import multiplier_residual
-from .gpm import NumericalError, SolveReport, check_seed, check_time_limit, random_init
-from .linops import EPS, RankDeficiencyWarning, StiefelStack, fro_norm, polar_blockwise
+from .gpm import NumericalError, SolveReport, _iterate, check_seed, check_time_limit, random_init
+from .linops import EPS, StiefelStack, fro_norm, polar_blockwise
 from .model import GramMatrix
 
 ARMIJO_C = 1e-4  # sufficient-increase constant of the line search
@@ -76,7 +76,9 @@ def solve_bm(
 ) -> SolveReport:
     """Gradient ascent on St(d,p)^n; stops at small Riemannian gradient.
 
-    The first trial step is 1/||C||_2.  After that, with s = S_new - S and
+    The ascent runs on C' = 2^-k C from :meth:`GramMatrix.unit_scaled`, where
+    every quantity below is taken; the report is in the units of C.  The
+    first trial step is 1/||C'||_2.  After that, with s = S_new - S and
     y = grad(S_new) - grad(S) (ambient differences of the blocks), trial
     steps alternate between BB1 <s,s>/|<s,y>| and BB2 |<s,y>|/<y,y>
     (Barzilai and Borwein, IMA J. Numer. Anal., 1988; on the Stiefel
@@ -89,8 +91,8 @@ def solve_bm(
     drops below its float64 resolution (|f_new - f| <= 8 eps |f|), Armijo
     cannot see an increase, and a step is accepted on the approximate Armijo
     condition of Hager and Zhang (SIAM J. Optim., 2005) instead:
-    2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below 1e-20
-    ends the ascent, and so does a next trial step that is not finite.
+    2 <grad(S_new), grad(S)> >= (2 ARMIJO_C - 1) * slope.  Backtracking below
+    1e-20 ends the ascent, and so does a next trial step that is not finite.
     The report's residual_history holds ||grad|| at every iterate, the start
     included: the certificate's stationarity_residual_fro, ||(Lambda - C) S||_F,
     at that iterate.  converged says whether the last one is within tolerance.
@@ -105,67 +107,49 @@ def solve_bm(
         s = init
     else:
         s = random_init(n, d, np.random.default_rng(config.seed), p=p)
-    tol = config.grad_tol * c.fro_norm()
-    eta = 1.0 / max(c.spectral_norm(), 1e-300)
+    scaled, k = c.unit_scaled()
+    tol = config.grad_tol * scaled.fro_norm()
+    return _iterate(_ascent_steps(scaled, s), tol, config.max_iter, config.time_limit_s, k, k)
+
+
+def _ascent_steps(c: GramMatrix, s: StiefelStack):
+    """The start, then each accepted step, with ||grad||; ends where S cannot move."""
 
     def evaluate(s: StiefelStack) -> tuple[float, np.ndarray]:
         """The objective and the Riemannian gradient at S, both from one product C S."""
         cs = c @ s.stacked
-        return float(np.sum(cs * s.stacked)), -multiplier_residual(cs, s)[2].reshape(n, d, p)
+        return float(np.sum(cs * s.stacked)), -multiplier_residual(cs, s)[2].reshape(s.blocks.shape)
 
-    start = time.monotonic()
+    eta = 1.0 / max(c.spectral_norm(), 1e-300)
     f, grad = evaluate(s)
-    objective_history = [f]
-    residual_history = [float(fro_norm(grad))]
-    converged = residual_history[-1] <= tol
-    timed_out = stalled = False
-    iterations = 0
-    with warnings.catch_warnings():
-        # A tangent step cannot empty a block; see retract.
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        while not (converged or timed_out or stalled) and iterations < config.max_iter:
-            # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
-            gnorm = residual_history[-1]
-            slope = 2.0 * gnorm * gnorm
-            step = eta
-            while True:
-                s_new = retract(s, grad, step)
-                f_new, grad_new = evaluate(s_new)
-                if not math.isfinite(f_new):
-                    raise NumericalError("objective became non-finite during ascent")
-                # Where f cannot resolve the change, the slope at s_new is tested instead.
-                if f_new >= f + ARMIJO_C * step * slope or (
-                    abs(f_new - f) <= 8.0 * EPS * abs(f)
-                    and 2.0 * float(np.sum(grad_new * grad)) >= (2.0 * ARMIJO_C - 1.0) * slope
-                ):
-                    break
-                step *= BACKTRACK
-                if step < 1e-20:
-                    stalled = True  # no trial step is accepted: S cannot move
-                    break
-            if stalled:
+    for iterations in itertools.count():
+        gnorm = float(fro_norm(grad))
+        yield s, gnorm, f
+        if not math.isfinite(eta):
+            return  # a step that overflowed cannot be tried
+        # Directional derivative along grad is 2 ||grad||^2 (ambient factor).
+        slope = 2.0 * gnorm * gnorm
+        step = eta
+        while True:
+            s_new = retract(s, grad, step)
+            f_new, grad_new = evaluate(s_new)
+            if not math.isfinite(f_new):
+                raise NumericalError("objective became non-finite during ascent")
+            # Where f cannot resolve the change, the slope at s_new is tested instead.
+            if f_new >= f + ARMIJO_C * step * slope or (
+                abs(f_new - f) <= 8.0 * EPS * abs(f)
+                and 2.0 * float(np.sum(grad_new * grad)) >= (2.0 * ARMIJO_C - 1.0) * slope
+            ):
                 break
-            # Next trial step: BB1 after even iterations, BB2 after odd ones.
-            ds = s_new.blocks - s.blocks
-            dg = grad_new - grad
-            sy, yy = abs(float(np.sum(ds * dg))), float(np.sum(dg * dg))
-            bb = math.nan
-            if sy > 0 and yy > 0:
-                bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
-            eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
-            s, f, grad = s_new, f_new, grad_new
-            residual_history.append(float(fro_norm(grad)))
-            objective_history.append(f)
-            iterations += 1
-            converged = residual_history[-1] <= tol
-            stalled = not math.isfinite(eta)  # a step that overflowed cannot be tried
-            limit = config.time_limit_s
-            timed_out = not converged and limit is not None and time.monotonic() - start > limit
-    return SolveReport(
-        solution=s,
-        iterations=iterations,
-        residual_history=residual_history,
-        objective_history=objective_history,
-        converged=converged,
-        timed_out=timed_out,
-    )
+            step *= BACKTRACK
+            if step < 1e-20:
+                return  # no trial step is accepted: S cannot move
+        # Next trial step: BB1 after even iterations, BB2 after odd ones.
+        ds = s_new.blocks - s.blocks
+        dg = grad_new - grad
+        sy, yy = abs(float(np.sum(ds * dg))), float(np.sum(dg * dg))
+        bb = math.nan
+        if sy > 0 and yy > 0:
+            bb = float(np.sum(ds * ds)) / sy if iterations % 2 == 0 else sy / yy
+        eta = bb if 0 < bb < math.inf else min(step / BACKTRACK, 1e6 * eta)
+        s, f, grad = s_new, f_new, grad_new

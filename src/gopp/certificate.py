@@ -120,14 +120,15 @@ def certify(
         raise ValueError(f"psd_tol must be finite, got {psd_tol}")
     if s.n != c.n or s.d != c.d:
         raise ValueError(f"stack (n={s.n}, d={s.d}) does not match Gram matrix (n={c.n}, d={c.d})")
-    raw, blocks, residual_mat = multiplier_residual(c @ s.stacked, s)
-    residual = float(np.linalg.norm(residual_mat, 2))
+    scaled, k = c.unit_scaled()
+    raw, blocks, residual_mat = multiplier_residual(scaled @ s.stacked, s)
+    residual = math.ldexp(float(np.linalg.norm(residual_mat, 2)), k)
     cert = Certificate(
-        lambda_blocks=blocks,
+        lambda_blocks=np.ldexp(blocks, k),
         factor=c.factor,
         stationarity_residual=residual,
-        stationarity_residual_fro=float(fro_norm(residual_mat)),
-        asymmetry=float(np.max(fro_norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))),
+        stationarity_residual_fro=math.ldexp(float(fro_norm(residual_mat)), k),
+        asymmetry=math.ldexp(float(np.max(fro_norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))), k),
         verdict=Verdict.NOT_STATIONARY,
     )
     if residual < stat_tol:

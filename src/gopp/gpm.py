@@ -1,11 +1,11 @@
-"""Generalized power method: spectral start, fixed-point iteration, rate fit.
+"""Generalized power method, and the iteration loop it shares with gopp.bm.
 
 The iteration is S <- blockwise-polar(C S); one product C S per iterate
 gives both the step and the objective.  It starts from a given stack when the
 caller passes one, else from the spectral or a random start.  Stopping uses
 the Gram-image residual ||S_next S_next^T - S S^T||_F <= tol, from a thin QR
 (:func:`gram_change`); the reported solution is gauge-fixed so its first
-block is [I_d | 0].
+block is [I_d | 0].  :func:`_iterate` is the loop of this method and of gopp.bm.
 """
 from __future__ import annotations
 
@@ -68,14 +68,14 @@ def check_time_limit(time_limit_s: float | None) -> None:
 
 @dataclass
 class SolveReport:
-    """Iteration trace and candidate solution; one shape for both solvers.
+    """Iteration trace and candidate solution, built by :func:`_iterate` for both solvers.
 
     residual_history holds the quantity the solver's stop rule compares with
     its tolerance: the Gram change ||S' S'^T - S S^T||_F of each power step
     for :func:`solve`; for :func:`gopp.bm.solve_bm`, the Riemannian gradient
-    norm at each iterate, which is the certificate's ||(Lambda - C) S||_F
-    there.  The report holds no certificate; the CLI appends one to the JSON
-    it emits.
+    norm at the start and each iterate, the certificate's ||(Lambda - C) S||_F
+    there.  It and objective_history are in the units of C.  The report
+    holds no certificate; the CLI appends one to the JSON it emits.
     """
 
     solution: StiefelStack
@@ -160,8 +160,9 @@ def solve(
     A given s_init, of n blocks of d x p with any p >= d, is the start and
     config.init is not read; otherwise config.init picks the spectral start
     (from d_for_init if given, else from the factor D of C) or a random one
-    (from config.seed).  Reaching max_iter is not an exception: the report
-    comes back with converged=False and the partial history.
+    (from config.seed).  The steps run on C' of :meth:`GramMatrix.unit_scaled`.
+    Reaching max_iter is not an exception: the report comes back with
+    converged=False and the partial history.
     """
     n, d = c.n, c.d
     if s_init is not None:
@@ -172,38 +173,51 @@ def solve(
         s = spectral_init(c.factor if d_for_init is None else d_for_init, n)
     else:
         s = random_init(n, d, np.random.default_rng(config.seed))
-    start = time.monotonic()
-    residual_history: list[float] = []
-    cs = c @ s.stacked
-    objective_history = [float(np.sum(cs * s.stacked))]
-    iterates = [s] if config.keep_iterates else None
-    converged = timed_out = False
-    for iterations in range(1, config.max_iter + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            s_next = gpm_step(cs, s)
-        residual = gram_change(s.stacked, s_next.stacked)
-        s = s_next
+    scaled, k = c.unit_scaled()
+    report = _iterate(_power_steps(scaled, s), config.tol, config.max_iter, config.time_limit_s,
+                      exponent=k, residual_exponent=0, keep_iterates=config.keep_iterates)
+    report.solution = gauge_fix(report.solution)
+    return report
+
+
+def _power_steps(c: GramMatrix, s: StiefelStack):
+    """The start, then each power step with its Gram change; one product C S per point."""
+    residual = None
+    while True:
         cs = c @ s.stacked
-        residual_history.append(residual)
-        objective_history.append(float(np.sum(cs * s.stacked)))
-        if iterates is not None:
-            iterates.append(s)
-        if residual <= config.tol:
-            converged = True
-            break
-        if config.time_limit_s is not None and time.monotonic() - start > config.time_limit_s:
-            timed_out = True
-            break
-    return SolveReport(
-        solution=gauge_fix(s),
-        iterations=iterations,
-        residual_history=residual_history,
-        objective_history=objective_history,
-        converged=converged,
-        iterates=iterates,
-        timed_out=timed_out,
-    )
+        yield s, residual, float(np.sum(cs * s.stacked))
+        s_next = gpm_step(cs, s)
+        s, residual = s_next, gram_change(s.stacked, s_next.stacked)
+
+
+def _iterate(points, tol, max_iter, time_limit_s, exponent, residual_exponent, keep_iterates=False):
+    """The loop of both solvers: budget, time limit, histories, warnings and report.
+
+    points yields (S, residual, objective), the start's residual possibly None,
+    on C' = 2^-exponent C; the histories scale objectives back by 2^exponent
+    and residuals by 2^residual_exponent.  points ends where S cannot move.
+    """
+    start = time.monotonic()
+    residual_history, objective_history = [], []
+    iterates = [] if keep_iterates else None
+    with warnings.catch_warnings():
+        # Any polar factor of a rank-deficient C S block is a power step, and a
+        # tangent step cannot lose rank (see gopp.bm.retract).
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        for iterations, (s, residual, f) in enumerate(points):
+            if residual is not None:
+                residual_history.append(math.ldexp(residual, residual_exponent))
+            converged = residual is not None and residual <= tol
+            objective_history.append(math.ldexp(f, exponent))
+            if iterates is not None:
+                iterates.append(s)
+            timed_out = (iterations > 0 and not converged and time_limit_s is not None
+                         and time.monotonic() - start > time_limit_s)
+            if converged or timed_out or iterations == max_iter:
+                break
+    return SolveReport(solution=s, iterations=iterations, residual_history=residual_history,
+                       objective_history=objective_history, converged=converged,
+                       iterates=iterates, timed_out=timed_out)
 
 
 # d_F values below this floor are treated as numerical zero in the rate fit.

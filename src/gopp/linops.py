@@ -167,22 +167,16 @@ def polar_blockwise(stack) -> StiefelStack:
     x = np.ldexp(blocks, -exponent[:, None, None])
     gram = x @ _transposed(x)
     if float(peak.min()) > 0.0:  # a zero block has no scale c
-        # Every block must qualify.  Block 0 is tested first, in Python
-        # floats: that turns away a power step's or a Gaussian draw's call for
-        # about 1 us, where the batched test takes 7.
-        g0 = gram[0].ravel().tolist()
-        spread0 = d * sum(v * v for v in g0) / sum(g0[:: d + 1]) ** 2
-        if _newton_schulz_steps(spread0, d) <= _MAX_NS_STEPS:
-            trace = np.einsum("ijj->i", gram)
-            spread = d * float((np.einsum("ijk,ijk->i", gram, gram) / (trace * trace)).max())
-            steps = _newton_schulz_steps(spread, d)
-            if steps <= _MAX_NS_STEPS:
-                scale = (d / trace)[:, None, None]
-                y = x * np.sqrt(scale)
-                y = 1.5 * y - 0.5 * ((gram * scale) @ y)  # Y Y^T = G / c
-                for _ in range(steps - 1):
-                    y = 1.5 * y - 0.5 * ((y @ _transposed(y)) @ y)
-                return StiefelStack._orthonormal(y)
+        trace = np.einsum("ijj->i", gram)
+        spread = d * float((np.einsum("ijk,ijk->i", gram, gram) / (trace * trace)).max())
+        steps = _newton_schulz_steps(spread, d)
+        if steps <= _MAX_NS_STEPS:  # every block qualifies
+            scale = (d / trace)[:, None, None]
+            y = x * np.sqrt(scale)
+            y = 1.5 * y - 0.5 * ((gram * scale) @ y)  # Y Y^T = G / c
+            for _ in range(steps - 1):
+                y = 1.5 * y - 0.5 * ((y @ _transposed(y)) @ y)
+            return StiefelStack._orthonormal(y)
     lam, u = np.linalg.eigh(gram)
     gram_ok = lam[:, 0] > _GRAM_TOL * lam[:, -1]
     inv_sqrt = 1.0 / np.sqrt(np.where(gram_ok[:, None], lam, 1.0))

@@ -174,6 +174,12 @@ class GramMatrix:
         """||C||_2 = sigma_max(D)^2."""
         return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
 
+    def unit_scaled(self) -> tuple[GramMatrix, int]:
+        """(C', k), C = 2^k C' exactly: ||D'||_F in [1/2, 1) if ||D||_F < 1/2, so C' S cannot
+        underflow; else C' = C, k = 0, as the certificate's tolerances are absolute."""
+        e = min(int(np.frexp(fro_norm(self.factor))[1]), 0)
+        return (GramMatrix(np.ldexp(self.factor, -e), self.n, self.d) if e else self), 2 * e
+
 
 def build_data_matrix(clouds: PointCloudSet) -> np.ndarray:
     """Stack the n clouds vertically into the nd x m matrix D (a read-only view)."""

@@ -254,7 +254,7 @@ class TestSolveBm:
         assert np.all(np.isfinite(report.objective_history))
         assert len(set(report.objective_history)) == 1
         assert len(steps) == 40
-        assert steps[0] == 1.0 / gram.spectral_norm()
+        assert steps[0] == 1.0 / gram.unit_scaled()[0].spectral_norm()
         for prev, cur in zip(steps, steps[1:]):
             assert cur == prev / bm.BACKTRACK
 
@@ -295,7 +295,7 @@ class TestSolveBm:
         assert report.solution is top
         assert report.objective_history == [objective(gram, top)]
         assert len(report.residual_history) == 1
-        assert steps[0] == 1.0 / gram.spectral_norm()
+        assert steps[0] == 1.0 / gram.unit_scaled()[0].spectral_norm()
         assert steps[-1] >= 1e-20 > steps[-1] * bm.BACKTRACK
 
     def test_one_product_per_trial_point(self, gram_products, monkeypatch):

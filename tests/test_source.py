@@ -43,6 +43,48 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_` names (functions, classes, constants) that no module reads.
+
+    A name counts as read where it is loaded by name or as an attribute, in
+    its own module or in another one that imports it.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}: {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read]
+    return dead
+
+
+def test_unread_private_name_is_found():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "b.py": "from a import _f\n_f()\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _B", "a.py: _C"]
+
+
+def test_no_unread_private_names_in_the_package():
+    package = sorted((ROOT / "src" / "gopp").glob("*.py"))
+    assert unread_private_names({p.name: p.read_text() for p in package}) == []
+
+
 def test_import_gopp_loads_every_library_module():
     # benchmark/run.py counts `import gopp` in its set-up time as numpy and every gopp module.
     code = "import sys, gopp; print(*sorted(m for m in sys.modules if m.startswith('gopp.')))"
