@@ -11,6 +11,7 @@ from gopp.bench import generate_instance
 from gopp.bm import BmConfig, solve_bm
 from gopp.certificate import certify
 from gopp.gpm import GpmConfig, solve
+from gopp.linops import gram_change
 from gopp.model import build_gram
 
 
@@ -37,9 +38,11 @@ def main():
     sv = np.linalg.svd(bm.solution.stacked, compute_uv=False)
     print(f"stiefel ascent (p={bm.solution.p}): iters={bm.iterations} sigma_d+1={sv[args.d]:.2e}")
 
-    g1 = gpm.solution.stacked @ gpm.solution.stacked.T
-    g2 = bm.solution.stacked @ bm.solution.stacked.T
-    rel = np.linalg.norm(g1 - g2) / np.linalg.norm(g1)
+    # ||S_bm S_bm^T - S S^T||_F / ||S S^T||_F, with no nd x nd product:
+    # S padded with zero columns to p has the same S S^T.
+    s = gpm.solution.stacked
+    padded = np.hstack([s, np.zeros((s.shape[0], bm.solution.p - s.shape[1]))])
+    rel = gram_change(padded, bm.solution.stacked) / np.linalg.norm(s.T @ s)
     print(f"relative Gram mismatch: {rel:.2e}")
 
 

@@ -47,8 +47,9 @@ class Certificate:
     check) and min_block_eig.
     """
 
-    lambda_blocks: np.ndarray  # (n, d, d), symmetrized
+    blocks: np.ndarray  # (n, d, d) symmetrized multiplier blocks Lambda' of C'
     factor: np.ndarray = field(repr=False)  # nd x m factor D of C
+    exponent: int  # C = 2^exponent C' (GramMatrix.unit_scaled); values read are in units of C
     stationarity_residual: float  # ||(Lambda - C) S|| (operator norm)
     stationarity_residual_fro: float
     asymmetry: float  # max_i ||raw Lambda_ii - Lambda_ii^T||_F
@@ -56,23 +57,27 @@ class Certificate:
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, E = U^T D) from Lambda_ii = U_i diag(mu_i) U_i^T: Lambda - C is
-        orthogonally similar to diag(mu) - E E^T."""
-        mu, u = np.linalg.eigh(self.lambda_blocks)
+        """(mu, E = U^T D') from Lambda'_ii = U_i diag(mu_i) U_i^T, on C' = D' D'^T:
+        Lambda' - C' is orthogonally similar to diag(mu) - E E^T."""
+        mu, u = np.linalg.eigh(self.blocks)
         e = u.transpose(0, 2, 1) @ self.factor.reshape(mu.shape + self.factor.shape[1:])
-        return mu.ravel(), e.reshape(self.factor.shape)
+        return mu.ravel(), np.ldexp(e, -self.exponent // 2, out=e).reshape(self.factor.shape)
 
     @cached_property
     def lambda_d_plus_1(self) -> float:
-        return lambda_kth_smallest(*self.spectrum, self.lambda_blocks.shape[1] + 1)
+        return math.ldexp(lambda_kth_smallest(*self.spectrum, self.blocks.shape[1] + 1), self.exponent)
 
     @cached_property
     def lambda_min(self) -> float:
-        return lambda_kth_smallest(*self.spectrum, 1)
+        return math.ldexp(lambda_kth_smallest(*self.spectrum, 1), self.exponent)
 
     @cached_property
     def min_block_eig(self) -> float:
-        return float(self.spectrum[0].min())
+        return math.ldexp(self.spectrum[0].min(), self.exponent)
+
+    @property
+    def lambda_blocks(self) -> np.ndarray:  # Lambda_ii, symmetrized, in the units of C
+        return np.ldexp(self.blocks, self.exponent)
 
     @property
     def certified(self) -> bool:
@@ -113,7 +118,7 @@ def certify(
     stat_tol: float = 1e-6,
     psd_tol: float = 0.0,
 ) -> Certificate:
-    """Evaluate the dual certificate for a candidate stack (p >= d allowed)."""
+    """Evaluate the dual certificate of a stack (p >= d allowed) on C' of GramMatrix.unit_scaled."""
     if not 0 < stat_tol < math.inf:
         raise ValueError(f"stat_tol must be positive and finite, got {stat_tol}")
     if not math.isfinite(psd_tol):
@@ -124,8 +129,9 @@ def certify(
     raw, blocks, residual_mat = multiplier_residual(scaled @ s.stacked, s)
     residual = math.ldexp(float(np.linalg.norm(residual_mat, 2)), k)
     cert = Certificate(
-        lambda_blocks=np.ldexp(blocks, k),
+        blocks=blocks,
         factor=c.factor,
+        exponent=k,
         stationarity_residual=residual,
         stationarity_residual_fro=math.ldexp(float(fro_norm(residual_mat)), k),
         asymmetry=math.ldexp(float(np.max(fro_norm(raw - raw.transpose(0, 2, 1), axis=(1, 2)))), k),

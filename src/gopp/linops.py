@@ -297,6 +297,8 @@ def lambda_kth_smallest(mu: np.ndarray, e: np.ndarray, k: int) -> float:
     0, and lambda_1 then takes 2 or 3 shifts instead of 7 to 9.  Coinciding
     values of mu are merged first, and those next to a shift are not
     inverted (see _merge_poles and _schur_count), so they keep that accuracy.
+    The scale max|mu| + ||e||_2^2 must be 0 or in [2^-256, 2^256], where the
+    accuracy cannot underflow (ValueError otherwise).
     """
     mu = np.asarray(mu, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -308,17 +310,11 @@ def lambda_kth_smallest(mu: np.ndarray, e: np.ndarray, k: int) -> float:
     ranked = np.sort(mu)
     if m == 0:
         return float(ranked[k - 1])
-    sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||e||_2^2
+    with np.errstate(over="ignore"):  # an overflow makes scale inf or nan, rejected below
+        sigma2 = float(np.linalg.eigvalsh(e.T @ e)[-1])  # ||e||_2^2
     scale = float(np.max(np.abs(mu))) + sigma2
-    if not 2.0**-256 <= scale <= 2.0**256:
-        # Far from unit scale tol can underflow to 0, and the bracket then
-        # never closes.  The search runs on diag(mu 2^-2s) - (e 2^-s)(e 2^-s)^T,
-        # whose largest entry is near 1; powers of two scale it exactly.
-        shift = max(int(np.frexp(np.max(np.abs(e)))[1]),
-                    (int(np.frexp(np.max(np.abs(mu)))[1]) + 1) // 2)
-        if shift:
-            scaled = lambda_kth_smallest(np.ldexp(mu, -2 * shift), np.ldexp(e, -shift), k)
-            return float(np.ldexp(scaled, 2 * shift))
+    if scale != 0.0 and not 2.0**-256 <= scale <= 2.0**256:
+        raise ValueError(f"scale {scale:.3e} of diag(mu) - e e^T is outside [2^-256, 2^256]")
     tol = 4.0 * np.finfo(float).eps * scale
     # Weyl and rank-m interlacing: mu_(k) - sigma2 <= lambda_k <= mu_(k), and
     # lambda_k >= mu_(k-m) when k > m.

@@ -175,9 +175,9 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.factor.T @ self.factor)[-1])
 
     def unit_scaled(self) -> tuple[GramMatrix, int]:
-        """(C', k), C = 2^k C' exactly: ||D'||_F in [1/2, 1) if ||D||_F < 1/2, so C' S cannot
-        underflow; else C' = C, k = 0, as the certificate's tolerances are absolute."""
-        e = min(int(np.frexp(fro_norm(self.factor))[1]), 0)
+        """(C', k), C = 2^k C' exactly, with ||D'||_F in [1/2, 1) (C' = C, k = 0 for D = 0), so
+        products C' S neither underflow nor overflow, and results scale back exactly."""
+        e = int(np.frexp(fro_norm(self.factor))[1])
         return (GramMatrix(np.ldexp(self.factor, -e), self.n, self.d) if e else self), 2 * e
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the dual certificate and the deterministic noise thresholds."""
 import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -252,7 +253,8 @@ class TestLazyEigenvalues:
         gram = build_gram(inst.observed, center_first=False)
         cert = certify(gram, random_stack(rng, 8, 3))
         assert "spectrum" not in vars(cert)
-        assert cert.min_block_eig == np.min(vars(cert)["spectrum"][0])
+        # The spectrum is of C' = 2^-exponent C; the value read is in the units of C.
+        assert cert.min_block_eig == math.ldexp(np.min(vars(cert)["spectrum"][0]), cert.exponent)
         assert searches == []
         cert.lambda_min
         assert searches == [1]
@@ -413,7 +415,8 @@ def test_factored_eigenvalues_match_dense(n, d, wide, extra_m, sigma, model, cen
     scale = np.max(np.abs(np.linalg.eigvalsh(blocks))) + gram.spectral_norm()
     cert = certify(gram, s)
     for k in range(1, n * d + 1):
-        assert abs(lambda_kth_smallest(*cert.spectrum, k) - eigs[k - 1]) <= 1e-11 * scale
+        lam = math.ldexp(lambda_kth_smallest(*cert.spectrum, k), cert.exponent)
+        assert abs(lam - eigs[k - 1]) <= 1e-11 * scale
     # A verdict is decided only up to the accuracy of what it compares.
     undecided = (
         min(abs(eigs[d]), abs(eigs[0] + 1e-6)) <= 1e-11 * scale

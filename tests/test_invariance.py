@@ -1,13 +1,19 @@
 """Symmetries and scales under which the solvers' outputs must not change."""
+import json
+import math
+
 import numpy as np
 import pytest
 
 from gopp.bench import generate_instance
 from gopp.bm import BmConfig, solve_bm
 from gopp.certificate import certify
+from gopp.cli import EXIT_OK, main
 from gopp.gpm import GpmConfig, solve
-from gopp.linops import polar_blockwise
-from gopp.model import GramMatrix, PointCloudSet, build_data_matrix, build_gram
+from gopp.linops import StiefelStack, polar_blockwise
+from gopp.model import (
+    GramMatrix, PointCloudSet, build_data_matrix, build_gram, write_cloud_set, write_stack,
+)
 
 
 def transforms(points, rng):
@@ -89,6 +95,55 @@ class TestScale:
         assert scaled.iterations == unit.iterations == 16
 
 
+# The report values in the units of C; every other value is scale-free.
+C_UNIT_KEYS = {"objective_history", "stationarity_residual", "stationarity_residual_fro",
+               "lambda_d_plus_1", "lambda_min", "min_block_eig", "asymmetry", "lambda_blocks"}
+
+
+def scaled_doc(doc: dict, k: int) -> dict:
+    """A JSON report with every value in the units of C multiplied by 2^k."""
+    return {key: np.ldexp(value, k).tolist() if key in C_UNIT_KEYS
+            else scaled_doc(value, k) if isinstance(value, dict) else value
+            for key, value in doc.items()}
+
+
+# Clouds whose spectral-start power method certifies at unit scale.
+CERTIFIED = generate_instance("uniform_cube", 8, 10, 2, 0.2, seed=0).observed.points
+
+
+def cli_reports(tmp_path, exponent: int) -> tuple[dict, dict]:
+    """`gopp solve` on CERTIFIED * 2^exponent, and `gopp certify` of its solution
+    with stat_tol 1e-6 in the units of CERTIFIED's C, i.e. scaled by 2^(2 exponent)."""
+    clouds, stack, out = (tmp_path / f"{name}{exponent}.txt" for name in ("clouds", "stack", "out"))
+    write_cloud_set(clouds, PointCloudSet.from_array(np.ldexp(CERTIFIED, exponent)))
+    assert main(["solve", str(clouds), "--out", str(out)]) == EXIT_OK
+    solved = json.loads(out.read_text())
+    blocks = np.reshape(solved["solution"]["blocks_row_major"], (8, 2, 2))
+    write_stack(stack, StiefelStack(blocks))
+    tol = repr(math.ldexp(1e-6, 2 * exponent))
+    args = ["certify", str(clouds), str(stack), "--stat-tol", tol, "--out", str(out)]
+    assert main(args) == EXIT_OK
+    return solved, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("exponent", [-300, 300])
+def test_solve_and_certify_reports_scale_by_exact_powers_of_two(tmp_path, exponent):
+    # C' of unit_scaled is the same at every power-of-two scale, and all the
+    # work runs on it: the stack, the iterations and the Gram changes are the
+    # same, and every value in the units of C is the unit-scale one times 2^2e.
+    # The certificate's stat_tol is absolute, so `gopp solve`'s verdict (at
+    # 1e-6) may differ; `gopp certify` at 1e-6 * 2^2e gives the same verdict.
+    solved, cert = cli_reports(tmp_path, exponent)
+    solved_unit, cert_unit = cli_reports(tmp_path, 0)
+    assert cert_unit["verdict"] == solved_unit["certificate"]["verdict"]
+    assert cert_unit["verdict"] == "certified_unique_global"
+    assert solved["iterations"] == solved_unit["iterations"]
+    for doc in (solved, solved_unit):
+        del doc["certificate"]["verdict"]
+    assert solved == scaled_doc(solved_unit, 2 * exponent)
+    assert cert == scaled_doc(cert_unit, 2 * exponent)
+
+
 class TestUnitScaled:
     def test_small_factor_is_scaled_up_exactly(self):
         factor = CLOUDS.reshape(12, 5) * 1e-160
@@ -98,12 +153,21 @@ class TestUnitScaled:
         assert 0.5 <= np.linalg.norm(scaled.factor) < 1.0
         assert np.array_equal(np.ldexp(scaled.factor, k // 2), factor)
 
-    @pytest.mark.parametrize("scale", [0.51, 1.0, 1e100])
+    @pytest.mark.parametrize("scale", [0.51, 0.99])
     def test_factor_of_norm_one_half_or_more_is_kept(self, scale):
+        # A factor of norm in [1/2, 1) is unit-scaled already.
         factor = CLOUDS.reshape(12, 5)
         gram = GramMatrix(factor / np.linalg.norm(factor) * scale, 6, 2)
         scaled, k = gram.unit_scaled()
         assert scaled is gram and k == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_large_factor_is_scaled_down_exactly(self, scale):
+        factor = CLOUDS.reshape(12, 5) * scale
+        scaled, k = GramMatrix(factor, 6, 2).unit_scaled()
+        assert k > 0 and k % 2 == 0
+        assert 0.5 <= np.linalg.norm(scaled.factor) < 1.0
+        assert np.array_equal(np.ldexp(scaled.factor, k // 2), factor)
 
     def test_zero_factor_is_kept(self):
         gram = GramMatrix(np.zeros((12, 5)), 6, 2)

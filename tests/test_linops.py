@@ -1,4 +1,5 @@
 """Unit tests for the block linear-algebra primitives."""
+import math
 import re
 import warnings
 
@@ -379,6 +380,18 @@ class TestLambdaKthSmallest:
         with pytest.raises(ValueError):
             lambda_kth_smallest(np.ones(2), np.zeros((2, 1)), 3)
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_rejects_inputs_far_from_unit_scale(self, rng, exponent):
+        # Far from unit scale the accuracy 4 eps * scale can underflow, and the
+        # bracket would never close; the caller scales by a power of two first.
+        a = rng.standard_normal((6, 6))
+        mu, e = block_spectrum(0.5 * (a + a.T)[None], rng.standard_normal((6, 2)))
+        with pytest.raises(ValueError, match="outside"):
+            lambda_kth_smallest(np.ldexp(mu, exponent), np.ldexp(e, exponent), 1)
+
+    def test_zero_input_is_exact(self):
+        assert lambda_kth_smallest(np.zeros(4), np.zeros((4, 2)), 3) == 0.0
+
     @pytest.mark.parametrize("mu_shape, e_shape", [((1, 2), (2, 1)), ((2,), (3, 1)), ((2,), (2,))])
     def test_rejects_mismatched_shapes(self, mu_shape, e_shape):
         with pytest.raises(ValueError, match="expected mu"):
@@ -459,7 +472,7 @@ class TestLambdaKthSmallest:
             return schur_count(mu, e, norms, exact, t, k)
 
         monkeypatch.setattr(linops, "_schur_count", counted)
-        lam_min = lambda_kth_smallest(*cert.spectrum, 1)
+        lam_min = math.ldexp(lambda_kth_smallest(*cert.spectrum, 1), cert.exponent)
         assert 1 <= len(counts) <= 3 and counts[0] == 0.0
         assert lam_min == pytest.approx(cert.lambda_min, abs=1e-11 * gram.spectral_norm())
 
