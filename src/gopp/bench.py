@@ -21,7 +21,7 @@ import numpy as np
 from .bm import BmConfig, solve_bm
 from .certificate import certify
 from .gpm import GpmConfig, NumericalError, check_seed, check_time_limit, random_init, solve
-from .linops import RotationStack, StiefelStack, df
+from .linops import StiefelStack, df
 from .model import PointCloud, PointCloudSet, SyntheticInstance, build_gram
 
 CLOUD_MODELS = ("uniform_cube", "standard_normal")
@@ -125,7 +125,7 @@ def generate_instance(
         a = rng.uniform(-1.0, 1.0, size=(d, m))
     else:
         a = rng.standard_normal((d, m))
-    rotations = random_init(n, d, rng) if haar_rotations else RotationStack.identity(n, d)
+    rotations = random_init(n, d, rng) if haar_rotations else StiefelStack.identity(n, d)
     shifts = rng.standard_normal((n, d)) if with_shifts else np.zeros((n, d))
     noise = rng.standard_normal((n, d, m))
     observed = rotations.blocks @ (a - shifts[:, :, None]) + sigma * noise

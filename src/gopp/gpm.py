@@ -18,7 +18,6 @@ import numpy as np
 
 from .linops import (
     RankDeficiencyWarning,
-    RotationStack,
     StiefelStack,
     df,
     gram_change,
@@ -115,7 +114,7 @@ def objective(c: GramMatrix, s: StiefelStack) -> float:
     return float(np.sum((c @ ss) * ss))
 
 
-def spectral_init(d_mat: np.ndarray, n: int) -> RotationStack:
+def spectral_init(d_mat: np.ndarray, n: int) -> StiefelStack:
     """Blockwise polar rounding of the top-d left singular basis of D (nd x m)."""
     d_mat = np.asarray(d_mat, dtype=float)
     if d_mat.shape[0] % n != 0:

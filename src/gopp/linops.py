@@ -50,7 +50,7 @@ class StiefelStack:
     """n stacked d x p blocks, each with orthonormal rows (p >= d).
 
     With p == d the blocks are orthogonal matrices and the stack lives in
-    O(d)^n; that case is aliased as :data:`RotationStack`.
+    O(d)^n.
     """
 
     blocks: np.ndarray
@@ -112,10 +112,6 @@ def _check_shape(blocks: np.ndarray) -> None:
     n, d, p = blocks.shape
     if n < 1 or d < 1 or p < d:
         raise ValueError(f"invalid stack shape n={n}, d={d}, p={p}")
-
-
-# p == d specialization; same storage and semantics.
-RotationStack = StiefelStack
 
 
 @dataclass(frozen=True)

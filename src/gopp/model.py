@@ -6,10 +6,11 @@ reduces to maximizing <C, S S^T> over stacks of orthogonal blocks, where
 C_ij = A_i A_j^T is the blockwise cross covariance.  C = D D^T is never
 formed: :class:`GramMatrix` keeps the nd x m factor D and applies C through it.
 
-The text readers parse a file in one call: the few header lines in a plain
-loop, all data rows at once with ``np.loadtxt``.  Only when that fails do they
-read the file again one line at a time, to name the line at fault (or to
-accept a float spelling numpy does not parse, such as ``1_0``).
+The text readers take the header lines one at a time and each block of data
+rows with :meth:`LineReader.table`: one ``np.loadtxt`` call, and only where
+that fails the same rows line by line, to name the line at fault (or to accept
+a float spelling numpy does not parse, such as ``1_0``).  A cloud set is first
+tried whole, all its data rows in one call.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import RotationStack, StiefelStack, fro_norm
+from .linops import StiefelStack, fro_norm
 
 
 _SHAPES = {2: "a d x m matrix", 3: "an n x d x m array"}
@@ -116,7 +117,7 @@ class SyntheticInstance:
     """
 
     truth: PointCloud
-    rotations: RotationStack  # ground-truth blocks O_i
+    rotations: StiefelStack  # ground-truth blocks O_i
     shifts: np.ndarray  # (n, d); row i is the shift mu_i
     sigma: float
     observed: PointCloudSet
@@ -251,7 +252,7 @@ class LineReader:
 
     @cached_property
     def _lines(self) -> list[tuple[int, str]]:
-        """(line number, text) of every non-blank line, built once the loop reads."""
+        """(line number, text) of every non-blank line, built at the first row read."""
         return [(k, ln) for k, ln in enumerate(self._all, 1) if ln.strip()]
 
     def error(self, lineno: int, message: str) -> ValueError:
@@ -279,6 +280,25 @@ class LineReader:
             raise self.error(lineno, f"'{names}' header needs positive counts, got {counts}")
         return lineno, counts
 
+    def table(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """The next `rows` lines as a rows x cols array, parsed in one np.loadtxt call.
+
+        Where that call fails, the same lines are read through :meth:`row`, and
+        that result stands: the same values, a float spelling numpy rejects
+        (such as ``1_0``), or an error that names the line.
+        """
+        texts = self.texts[self._pos : self._pos + rows]
+        if len(texts) == rows:  # also keeps loadtxt from warning about an empty input
+            try:
+                values = np.loadtxt(texts, comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if values.shape == (rows, cols):
+                    self._pos += rows
+                    return values
+        return np.array([self.row(cols, what)[1] for _ in range(rows)])
+
     def build(self, lineno: int, make, *args):
         """make(*args), with a ValueError it raises reported at `lineno`."""
         try:
@@ -292,95 +312,51 @@ class LineReader:
             raise self.error(self._lines[self._pos][0], "unexpected data after the last record")
 
 
-def _read(path, bulk, loop):
-    """bulk(texts) of the file's non-blank lines, or loop(LineReader) where bulk fails.
-
-    ``bulk`` parses whole arrays and raises ValueError or IndexError on any
-    file it does not take.  ``loop`` then reads the same lines one at a time,
-    and its result stands: the same value, or an error naming file and line.
-    """
-    lines = LineReader(path)
-    try:
-        return bulk(lines.texts)
-    except (ValueError, IndexError):
-        pass
-    return loop(lines)
-
-
-def _counts(text: str, k: int) -> list[int]:
-    """A header line as k positive integers."""
-    counts = [int(v) for v in text.split()]
-    if len(counts) != k or min(counts) < 1:
-        raise ValueError(f"not a header of {k} positive counts: {text!r}")
-    return counts
-
-
-def _table(texts: list[str], rows: int, cols: int) -> np.ndarray:
-    """`rows` data lines of `cols` floats each, parsed in one call."""
-    if len(texts) != rows:  # also keeps loadtxt from warning about an empty input
-        raise ValueError(f"expected {rows} rows, got {len(texts)}")
-    values = np.loadtxt(texts, comments=None, ndmin=2)
-    if values.shape != (rows, cols):
-        raise ValueError(f"expected {rows} x {cols} values, got {values.shape}")
-    return values
-
-
 def _read_cloud_record(lines: LineReader) -> PointCloud:
     lineno, (d, m) = lines.header("d m")
-    rows = [lines.row(m, "a cloud row")[1] for _ in range(d)]
-    return lines.build(lineno, PointCloud, np.array(rows))
+    return lines.build(lineno, PointCloud, lines.table(d, m, "a cloud row"))
 
 
-def _cloud_bulk(texts: list[str]) -> PointCloud:
-    d, m = _counts(texts[0], 2)
-    return PointCloud(_table(texts[1:], d, m))
-
-
-def _cloud_loop(lines: LineReader) -> PointCloud:
+def read_cloud(path) -> PointCloud:
+    lines = LineReader(path)
     cloud = _read_cloud_record(lines)
     lines.finish()
     return cloud
 
 
-def read_cloud(path) -> PointCloud:
-    return _read(path, _cloud_bulk, _cloud_loop)
-
-
 def _cloud_set_bulk(texts: list[str]) -> PointCloudSet:
-    (n,) = _counts(texts[0], 1)
-    d, m = _counts(texts[1], 2)
+    """All data rows of a cloud set in one np.loadtxt call.
+
+    Takes only a file whose record headers all read as the first one's
+    positive "d m"; raises ValueError or IndexError on any other.
+    """
+    (n,) = [int(v) for v in texts[0].split()]
     body = texts[1:]
-    if len(body) != n * (d + 1):
+    d, m = [int(v) for v in body[0].split()]
+    if min(n, d, m) < 1 or len(body) != n * (d + 1):
         raise ValueError(f"{len(body)} lines do not hold {n} records of {d + 1}")
     for text in set(body[:: d + 1]):  # the record headers, usually one text n times
-        if _counts(text, 2) != [d, m]:
+        if [int(v) for v in text.split()] != [d, m]:
             raise ValueError("records differ in shape")
     del body[:: d + 1]
-    return PointCloudSet.from_array(_table(body, n * d, m).reshape(n, d, m))
+    return PointCloudSet.from_array(np.loadtxt(body, comments=None, ndmin=2).reshape(n, d, m))
 
 
-def _cloud_set_loop(lines: LineReader) -> PointCloudSet:
+def read_cloud_set(path) -> PointCloudSet:
+    lines = LineReader(path)
+    try:
+        return _cloud_set_bulk(lines.texts)
+    except (ValueError, IndexError):
+        pass  # read record by record: the same value, or an error that names the line
     lineno, (n,) = lines.header("n")
     clouds = tuple(_read_cloud_record(lines) for _ in range(n))
     lines.finish()
     return lines.build(lineno, PointCloudSet, clouds)
 
 
-def read_cloud_set(path) -> PointCloudSet:
-    return _read(path, _cloud_set_bulk, _cloud_set_loop)
-
-
-def _stack_bulk(texts: list[str]) -> StiefelStack:
-    n, d, p = _counts(texts[0], 3)
-    return StiefelStack(_table(texts[1:], n * d, p).reshape(n, d, p))
-
-
-def _stack_loop(lines: LineReader) -> StiefelStack:
-    lineno, (n, d, p) = lines.header("n d p")
-    rows = [lines.row(p, "a stack row")[1] for _ in range(n * d)]
-    lines.finish()
-    return lines.build(lineno, StiefelStack, np.array(rows).reshape(n, d, p))
-
-
 def read_stack(path) -> StiefelStack:
-    return _read(path, _stack_bulk, _stack_loop)
+    lines = LineReader(path)
+    lineno, (n, d, p) = lines.header("n d p")
+    blocks = lines.table(n * d, p, "a stack row").reshape(n, d, p)
+    lines.finish()
+    return lines.build(lineno, StiefelStack, blocks)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-import gopp.model
 from gopp.bench import generate_instance
 from gopp.gpm import objective
 from gopp.linops import StiefelStack
 from gopp.model import (
     GramMatrix,
+    LineReader,
     PointCloud,
     PointCloudSet,
     build_data_matrix,
@@ -375,16 +375,41 @@ class TestBulkReaders:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("kind", sorted(READERS))
-    def test_clean_file_takes_the_one_call_parse(self, kind, rng, tmp_path, monkeypatch):
-        def no_loop(lines):
-            raise AssertionError("fell back to the line loop")
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """How often np.loadtxt and LineReader.row run, counted from here on."""
+        counts = {"loadtxt": 0, "row": 0}
 
-        monkeypatch.setattr(gopp.model, f"_{kind}_loop", no_loop)
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(LineReader, "row", counted("row", LineReader.row))
+        return counts
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_clean_file_takes_the_one_call_parse(self, kind, rng, tmp_path, calls):
+        # One np.loadtxt call for all data rows; LineReader.row reads only the headers.
         path = tmp_path / "file.txt"
         write_random(kind, path, rng, 3, 2, 2)
+        expected = oracle_read(path, kind)
         read, values = READERS[kind]
-        assert values(read(path)).size > 0
+        got = values(read(path))
+        assert calls == {"loadtxt": 1, "row": {"cloud": 1, "cloud_set": 0, "stack": 1}[kind]}
+        assert got.tobytes() == expected.tobytes()
+
+    def test_record_headers_spelled_apart_take_the_one_call_parse(self, rng, tmp_path, calls):
+        clean = tmp_path / "clean.txt"
+        write_cloud_set(clean, make_cloud_set(rng, 3, 2, 5))
+        lines = clean.read_text().splitlines()
+        lines[1::3] = ["2 5", "2  5", "02 5"]
+        respelled = tmp_path / "respelled.txt"
+        respelled.write_text("\n".join(lines) + "\n")
+        assert read_cloud_set(respelled).points.tobytes() == read_cloud_set(clean).points.tobytes()
+        assert calls == {"loadtxt": 2, "row": 0}
 
     def test_float_spelling_numpy_rejects_is_read_by_the_loop(self, tmp_path):
         path = tmp_path / "set.txt"
